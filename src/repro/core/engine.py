@@ -83,6 +83,9 @@ class AlexEngine:
             config.report_interval > 0 and config.report_path is not None
         )
         self._closed = False
+        #: set by :meth:`pool`: only an engine that acquired the shared
+        #: pool releases it on :meth:`close`
+        self._acquired_pool = False
         self._episode_started = time.perf_counter()
 
     # ------------------------------------------------------------------ #
@@ -120,6 +123,7 @@ class AlexEngine:
         """
         from repro.core.workers import shared_pool
 
+        self._acquired_pool = True
         return shared_pool(self.config.pool_workers, self.config.pool_idle_timeout)
 
     def reporter(self):
@@ -144,13 +148,15 @@ class AlexEngine:
 
     def close(self) -> None:
         """Release engine resources: stops the background reporter, flushes
-        the slowlog, and shuts down the shared worker pool.
+        the slowlog, and shuts down the shared worker pool if this engine
+        acquired it through :meth:`pool`.
 
         Idempotent — closing twice (or closing an engine whose reporter
         never started) is a no-op the second time. Call when the engine
         (and any partitioned execution it drove) is finished, so test runs
         and services don't leak worker processes or reporter threads;
-        ``atexit`` covers the forgetful caller.
+        ``atexit`` covers the forgetful caller. An engine that never asked
+        for the pool leaves it alone: other code in the process may own it.
         """
         from repro.core.workers import shutdown_shared_pool
 
@@ -161,7 +167,9 @@ class AlexEngine:
         slog = slowlog.active()
         if slog is not None:
             slog.flush()
-        shutdown_shared_pool()
+        if self._acquired_pool:
+            self._acquired_pool = False
+            shutdown_shared_pool()
         self._closed = True
 
     @property

@@ -19,7 +19,8 @@ Lifecycle discipline — nothing may leak processes out of a test run:
   ``idle_timeout`` seconds without a batch (workers respawn transparently
   on next use);
 * **atexit + Engine.close()** — the process-shared pool is torn down at
-  interpreter exit and by :meth:`~repro.core.engine.AlexEngine.close`.
+  interpreter exit and by :meth:`~repro.core.engine.AlexEngine.close` of
+  an engine that acquired it via :meth:`~repro.core.engine.AlexEngine.pool`.
 
 Crash robustness: a batch whose worker dies (``BrokenProcessPool``) is
 retried once on a respawned executor; if the executor breaks again the
@@ -129,10 +130,13 @@ class WorkerPool:
         executor = self._ensure_executor()
         futures = [executor.submit(os.getpid) for _ in range(self.size)]
         try:
-            pids = frozenset(future.result() for future in futures)
+            answered = frozenset(future.result() for future in futures)
         finally:
             self._touch()
-        return pids
+        # Which worker answers which probe is racy (one fast worker may take
+        # them all); the executor's process table is not.
+        processes = getattr(executor, "_processes", None)
+        return frozenset(processes) if processes else answered
 
     # ------------------------------------------------------------------ #
     # Execution

@@ -148,19 +148,23 @@ def similarity_matrix_prepared(
     Every entry ≥ θ carries exactly the score the naive path computes; the
     θ-aware bounds inside :func:`best_prepared_similarity` only elide work
     whose result could not reach θ (and would be dropped here anyway).
+    Two consumers share it: the space build at θ, and PARIS's evidence
+    collection at τ — whose queries the θ-agnostic attribute-pair memo
+    answers from the build's entries whenever τ ≥ θ.
     """
     # The memo probe of best_prepared_similarity is inlined here: with ~20
     # attribute pairs per entity pair and a ~75% memo hit rate the call
-    # overhead alone would dominate the cache's savings.
+    # overhead alone would dominate the cache's savings. A negative entry
+    # (-θ') means "below θ'": a hit iff θ' ≤ θ, and then never admitted.
     matrix: dict[FeatureKey, float] = {}
     cache_get = _best_cache.get
     items2 = prepared2.attr_items
     hits = 0
     for p1, objects1 in prepared1.attr_items:
         for p2, objects2 in items2:
-            key = (objects1, objects2, theta)
+            key = (objects1, objects2)
             score = cache_get(key)
-            if score is None:
+            if score is None or -score > theta:
                 score = _best_uncached(objects1, objects2, theta, key)
             else:
                 hits += 1

@@ -31,7 +31,7 @@ from repro.similarity.prepared import (
     WireReader,
     WireWriter,
     flush_similarity_stats,
-    prepare_entity,
+    prepare_pairs,
 )
 
 
@@ -118,16 +118,7 @@ class FeatureSpace:
             pairs = ((l, r) for l in left_entities for r in right_entities)
         with obs.timer("space.build.score"):
             if fast:
-                prepared: dict[Entity, PreparedEntity] = {}
-                for left_entity, right_entity in pairs:
-                    prepared_left = prepared.get(left_entity)
-                    if prepared_left is None:
-                        prepared_left = prepare_entity(left_entity)
-                        prepared[left_entity] = prepared_left
-                    prepared_right = prepared.get(right_entity)
-                    if prepared_right is None:
-                        prepared_right = prepare_entity(right_entity)
-                        prepared[right_entity] = prepared_right
+                for prepared_left, prepared_right in prepare_pairs(pairs):
                     space.add_prepared_pair(prepared_left, prepared_right)
                 flush_similarity_stats()
             else:

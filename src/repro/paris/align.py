@@ -16,22 +16,33 @@ to literal evidence:
    an r2-statement on the equivalent entity.
 
 Candidate pairs come from token blocking, so the loop is near-linear in
-practice. The result is a scored :class:`~repro.links.LinkSet`; the paper
-keeps links with score > 0.95 as ALEX's starting candidates.
+practice. The attribute-pair scores come from the same prepared kernels and
+θ-agnostic memo as the feature-space build
+(:func:`~repro.features.feature_set.similarity_matrix_prepared` at floor τ),
+so PARIS after a space build at θ ≤ τ scores nothing again; the evidence is
+bit-identical to scoring every value pair with the naive
+``object_similarity`` (``tests/test_paris_parity.py``). The result is a
+scored :class:`~repro.links.LinkSet`; the paper keeps links with
+score > 0.95 as ALEX's starting candidates.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 
+from repro import obs
 from repro.errors import LinkingError
 from repro.features.blocking import blocked_pairs
+from repro.features.feature_set import similarity_matrix_prepared
 from repro.links import Link, LinkSet
 from repro.paris.model import RelationStatistics
 from repro.rdf.entity import Entity, entities_of
 from repro.rdf.graph import Graph
-from repro.rdf.terms import Literal, URIRef
-from repro.similarity.generic import object_similarity
+from repro.rdf.terms import URIRef
+from repro.similarity.prepared import flush_similarity_stats, prepare_pairs
+
+#: Per candidate pair, its value matches ≥ τ as (r1, r2, best similarity).
+Evidence = dict[Link, list[tuple[URIRef, URIRef, float]]]
 
 #: Value-match threshold for evidence (high: PARIS uses shared *values*).
 DEFAULT_EVIDENCE_TAU = 0.8
@@ -77,11 +88,13 @@ class ParisAligner:
         if not candidates:
             return LinkSet(name="paris")
 
-        evidence = self._collect_evidence(candidates)
+        with obs.timer("paris.evidence"):
+            evidence = self._collect_evidence(candidates)
         equivalence: dict[Link, float] = {}
-        for _ in range(self.iterations):
-            equivalence = self._estimate_equivalence(evidence)
-            self._update_alignment(evidence, equivalence)
+        with obs.timer("paris.iterate"):
+            for _ in range(self.iterations):
+                equivalence = self._estimate_equivalence(evidence)
+                self._update_alignment(evidence, equivalence)
         if mutual_best:
             return self._assign(equivalence)
         out = LinkSet(name="paris")
@@ -91,33 +104,24 @@ class ParisAligner:
 
     # ------------------------------------------------------------------ #
 
-    def _collect_evidence(
-        self, candidates: list[tuple[Entity, Entity]]
-    ) -> dict[Link, list[tuple[URIRef, URIRef, float]]]:
-        """Per candidate pair, the list of (r1, r2, sim) value matches ≥ τ."""
-        evidence: dict[Link, list[tuple[URIRef, URIRef, float]]] = {}
-        for left_entity, right_entity in candidates:
-            matches: list[tuple[URIRef, URIRef, float]] = []
-            for r1, objects1 in left_entity.attributes.items():
-                for r2, objects2 in right_entity.attributes.items():
-                    best = 0.0
-                    for o1 in objects1:
-                        for o2 in objects2:
-                            score = object_similarity(o1, o2)
-                            if score > best:
-                                best = score
-                    if best >= self.evidence_tau:
-                        matches.append((r1, r2, best))
+    def _collect_evidence(self, candidates: list[tuple[Entity, Entity]]) -> Evidence:
+        """Per candidate pair, the attribute pairs whose best value match is ≥ τ."""
+        evidence: Evidence = {}
+        tau = self.evidence_tau
+        for prepared_left, prepared_right in prepare_pairs(candidates):
+            matches = similarity_matrix_prepared(prepared_left, prepared_right, tau)
             if matches:
-                evidence[Link(left_entity.uri, right_entity.uri)] = matches
+                # flat tuples, not the matrix dicts: smaller at the set-up's peak
+                evidence[Link(prepared_left.uri, prepared_right.uri)] = [
+                    (r1, r2, sim) for (r1, r2), sim in matches.items()
+                ]
+        flush_similarity_stats()
         return evidence
 
     def _alignment_of(self, r1: URIRef, r2: URIRef) -> float:
         return self._alignment.get((r1, r2), _INITIAL_ALIGNMENT)
 
-    def _estimate_equivalence(
-        self, evidence: dict[Link, list[tuple[URIRef, URIRef, float]]]
-    ) -> dict[Link, float]:
+    def _estimate_equivalence(self, evidence: Evidence) -> dict[Link, float]:
         equivalence: dict[Link, float] = {}
         for link, matches in evidence.items():
             survival = 1.0
@@ -131,11 +135,7 @@ class ParisAligner:
             equivalence[link] = 1.0 - survival
         return equivalence
 
-    def _update_alignment(
-        self,
-        evidence: dict[Link, list[tuple[URIRef, URIRef, float]]],
-        equivalence: dict[Link, float],
-    ) -> None:
+    def _update_alignment(self, evidence: Evidence, equivalence: dict[Link, float]) -> None:
         support: dict[tuple[URIRef, URIRef], float] = defaultdict(float)
         normalizer: dict[tuple[URIRef, URIRef], float] = defaultdict(float)
         for link, matches in evidence.items():

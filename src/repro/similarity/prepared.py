@@ -4,17 +4,27 @@ The naive similarity kernel re-derives everything from raw lexical forms for
 every (entity, entity) pair: normalization, token sets, typed values. During
 feature-space construction each entity participates in many pairs, so the
 same derivations run thousands of times. This module computes them **once**
-per entity (:class:`PreparedEntity` / :class:`PreparedTerm`), adds a bounded
-memo cache on value-pair scores keyed by normalized lexical forms (literals
-repeat heavily across entities — years, cities, person names), and applies
+per entity (:class:`PreparedEntity` / :class:`PreparedTerm`), adds bounded
+memo caches on value-pair scores keyed by normalized lexical forms (literals
+repeat heavily across entities — years, cities, person names) and on
+attribute-pair best scores keyed by interned object tuples, and applies
 θ-aware upper bounds (see :mod:`repro.similarity.strings`) that skip the
 expensive string metrics when the score provably cannot matter.
 
-Invariant: for every feature the θ-filter admits, the fast path produces a
-score **bit-identical** to the naive path — the prepared forms feed the very
-same metric functions, the cache only stores their outputs, and a bound-based
-skip happens only when the skipped score could not change the admitted
-result. ``tests/test_perf_fastpath.py`` enforces this end to end.
+The attribute-pair memo is θ-agnostic: one float per tuple pair, the exact
+best when it reached the floor it was computed at, else that floor negated
+("below θ"). Its two consumers — the feature-space build at θ and PARIS's
+evidence collection at τ (:mod:`repro.paris.align`), both through
+:func:`~repro.features.feature_set.similarity_matrix_prepared` and
+:func:`prepare_pairs` — thus share one scoring pass: a θ=0.3 build answers
+every τ=0.8 evidence query from its entries.
+
+Invariant: for every feature the θ-filter admits (and every τ-evidence
+match), the fast path produces a score **bit-identical** to the naive path —
+the prepared forms feed the very same metric functions, the caches only
+store their outputs, and a bound-based skip happens only when the skipped
+score could not change the admitted result. ``tests/test_perf_fastpath.py``
+and ``tests/test_paris_parity.py`` enforce this end to end.
 """
 
 from __future__ import annotations
@@ -22,6 +32,7 @@ from __future__ import annotations
 import struct
 from array import array
 from datetime import date, datetime
+from typing import Iterable, Iterator
 
 from repro import obs
 from repro.rdf.entity import Entity
@@ -159,9 +170,13 @@ _score_cache_max = DEFAULT_SCORE_CACHE_SIZE
 
 #: Memo of best_prepared_similarity over interned attribute tuples, keyed by
 #: the tuples themselves (identity hash — cheap, and keeps them alive so the
-#: key can never dangle) plus θ. Repeated attribute combinations — constant
+#: key can never dangle). Repeated attribute combinations — constant
 #: rdf:type values, pool values like cities and teams — resolve in one probe.
-_best_cache: dict[tuple[tuple[PreparedTerm, ...], tuple[PreparedTerm, ...], float], float] = {}
+#: The key carries no θ: an entry is the exact best when that is ≥ the θ it
+#: was computed at, else ``-θ`` ("below θ"). A query at τ ≥ 0 can reuse it
+#: whenever ``-entry ≤ τ`` — so a θ=0.3 space build answers PARIS's τ=0.8
+#: evidence queries without scoring anything again.
+_best_cache: dict[tuple[tuple[PreparedTerm, ...], tuple[PreparedTerm, ...]], float] = {}
 _best_cache_max = DEFAULT_SCORE_CACHE_SIZE
 
 _stats = {"hits": 0, "misses": 0, "attr_hits": 0, "attr_misses": 0, "skipped": 0}
@@ -246,6 +261,25 @@ def prepare_objects(objects: tuple[Term, ...]) -> tuple[PreparedTerm, ...]:
 def prepare_entity(entity: Entity) -> PreparedEntity:
     """Prepared view of one entity (terms interned via :func:`prepare_term`)."""
     return PreparedEntity(entity)
+
+
+def prepare_pairs(
+    pairs: Iterable[tuple[Entity, Entity]],
+) -> Iterator[tuple[PreparedEntity, PreparedEntity]]:
+    """The candidate pairs as prepared entities, each entity prepared once.
+
+    The one scoring loop shared by the space build and PARIS's evidence
+    collection: both feed these pairs to ``similarity_matrix_prepared``.
+    """
+    prepared: dict[Entity, PreparedEntity] = {}
+    for left, right in pairs:
+        prepared_left = prepared.get(left)
+        if prepared_left is None:
+            prepared_left = prepared[left] = PreparedEntity(left)
+        prepared_right = prepared.get(right)
+        if prepared_right is None:
+            prepared_right = prepared[right] = PreparedEntity(right)
+        yield prepared_left, prepared_right
 
 
 # --------------------------------------------------------------------- #
@@ -400,17 +434,20 @@ def best_prepared_similarity(
     """Max pairwise similarity between two prepared object collections.
 
     Matches ``best_object_similarity`` exactly whenever the result is ≥ θ;
-    below θ the returned value may be an underestimate (the caller drops
-    sub-θ scores either way), which is what lets the upper bounds skip work.
-    The result is memoized per (interned tuple pair, θ): it is a pure
-    function of its inputs, so replaying it from the memo is exact.
+    below θ the returned value is some score < θ (0.0 or the exact best),
+    which is what lets the upper bounds skip work — the caller drops sub-θ
+    scores either way. The result is memoized per interned tuple pair,
+    whatever θ (see ``_best_cache``); a memo entry is a pure function of its
+    inputs, so replaying it is exact.
     """
-    key = (objects_a, objects_b, theta)
-    cached = _best_cache.get(key)
-    if cached is not None:
+    key = (objects_a, objects_b)
+    entry = _best_cache.get(key)
+    # For θ ≥ 0, "entry ≥ 0 or -entry ≤ θ" is just -entry ≤ θ.
+    if entry is None or -entry > theta:
+        entry = _best_uncached(objects_a, objects_b, theta, key)
+    else:
         _stats["attr_hits"] += 1
-        return cached
-    return _best_uncached(objects_a, objects_b, theta, key)
+    return entry if entry >= 0.0 else 0.0
 
 
 # --------------------------------------------------------------------- #
@@ -626,7 +663,8 @@ def _best_uncached(
     theta: float,
     key: tuple,
 ) -> float:
-    """Memo-miss body of :func:`best_prepared_similarity`."""
+    """Memo-miss body of :func:`best_prepared_similarity`; returns the memo
+    entry: the exact best when it is ≥ θ, else the ``-θ`` sentinel."""
     _stats["attr_misses"] += 1
     if len(objects_a) == 1 and len(objects_b) == 1:
         # the common single-valued case skips the loop scaffolding entirely
@@ -644,8 +682,10 @@ def _best_uncached(
                         break
             if best >= 1.0:
                 break
+    # below θ, best may be an underestimate: keep only the fact "< θ"
+    entry = best if best >= theta else -float(theta)
     if _best_cache_max > 0:
         if len(_best_cache) >= _best_cache_max:
             _best_cache.pop(next(iter(_best_cache)))
-        _best_cache[key] = best
-    return best
+        _best_cache[key] = entry
+    return entry

@@ -17,7 +17,11 @@ from repro.bench import parity_mismatches, render_report, run_bench
 from repro.datasets import PERSON_PROFILE, PairSpec, generate_pair
 from repro.features import FeatureSpace, blocked_pairs
 from repro.features.blocking import entity_tokens
-from repro.features.feature_set import build_feature_set, build_feature_set_prepared
+from repro.features.feature_set import (
+    build_feature_set,
+    build_feature_set_prepared,
+    similarity_matrix_prepared,
+)
 from repro.links import Link
 from repro.rdf.entity import entities_of
 from repro.rdf.graph import Graph
@@ -36,6 +40,7 @@ from repro.similarity import (
 from repro.similarity.generic import best_object_similarity, object_similarity
 from repro.similarity.prepared import (
     PreparedText,
+    _best_cache,
     _prepared_jaro_winkler,
     best_prepared_similarity,
     cache_info,
@@ -280,6 +285,47 @@ class TestCaches:
         finally:
             configure_score_cache(1 << 18)
             clear_caches()
+
+    def test_attribute_memo_answers_higher_floor_without_scoring(self, pair_entities):
+        left, right = pair_entities
+        clear_caches()
+        pairs = [
+            (prepare_entity(l), prepare_entity(r)) for l in left[:10] for r in right[:10]
+        ]
+        for prepared_left, prepared_right in pairs:
+            similarity_matrix_prepared(prepared_left, prepared_right, 0.3)
+        before = cache_info()
+        for prepared_left, prepared_right in pairs:
+            similarity_matrix_prepared(prepared_left, prepared_right, 0.8)
+        after = cache_info()
+        lookups = sum(len(a.attr_items) * len(b.attr_items) for a, b in pairs)
+        assert after["attr_hits"] - before["attr_hits"] == lookups
+        assert after["attr_misses"] == before["attr_misses"]
+        assert after["attr_entries"] == before["attr_entries"]
+        assert after["misses"] == before["misses"]
+        assert after["skipped"] == before["skipped"]
+        assert before["attr_entries"] > 0
+        assert all(type(entry) is float for entry in _best_cache.values())
+        assert any(entry < 0.0 for entry in _best_cache.values())  # "below 0.3"
+        clear_caches()
+
+    def test_best_prepared_never_returns_the_below_theta_sentinel(self):
+        clear_caches()
+        raw_a, raw_b = (Literal("Cleveland Cavaliers"),), (Literal("Cavaliers of Cleveland"),)
+        a = tuple(prepare_term(t) for t in raw_a)
+        b = tuple(prepare_term(t) for t in raw_b)
+        exact = best_object_similarity(raw_a, raw_b)
+        assert 0.0 < exact < 0.9
+        assert best_prepared_similarity(a, b, 0.9) == 0.0  # miss, below 0.9
+        assert _best_cache[(a, b)] == -0.9
+        hits = cache_info()["attr_hits"]
+        assert best_prepared_similarity(a, b, 0.95) == 0.0  # hit on the sentinel
+        assert cache_info()["attr_hits"] == hits + 1
+        assert best_prepared_similarity(a, b, 0.5) == exact  # recomputed
+        assert best_prepared_similarity(a, b, 0.9) == exact  # hit, exact entry
+        entry = _best_cache[(a, b)]
+        assert type(entry) is float and entry == exact
+        clear_caches()
 
     def test_score_cache_eviction_respects_bound(self):
         clear_caches()
