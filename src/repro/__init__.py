@@ -41,7 +41,7 @@ from repro.datasets import load_pair
 from repro.errors import DataValidationError, QueryAnalysisError, ReproError
 from repro.evaluation import QualityTracker, evaluate_links, quality_curve_table
 from repro.features import FeatureSpace, build_partitioned_spaces
-from repro.federation import Endpoint, FederatedEngine, FederatedExecutor
+from repro.federation import Endpoint, FederatedEngine
 from repro.feedback import (
     FeedbackSession,
     GroundTruthOracle,
@@ -72,7 +72,7 @@ from repro.sparql import (
     prepare,
 )
 
-__version__ = "1.10.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "AlexConfig",
@@ -83,7 +83,6 @@ __all__ = [
     "Endpoint",
     "FeatureSpace",
     "FederatedEngine",
-    "FederatedExecutor",
     "FeedbackSession",
     "Graph",
     "GroundTruthOracle",

@@ -10,14 +10,10 @@ from repro.core.parallel_mp import (
     run_partitions_parallel,
 )
 from repro.core.persistence import (
-    dump_engine,
     engine_from_dict,
     engine_load,
     engine_save,
     engine_to_dict,
-    load_engine,
-    load_engine_file,
-    save_engine_file,
 )
 from repro.core.policy import EpsilonGreedyPolicy
 from repro.core.provenance import ExplorationLedger
@@ -44,17 +40,13 @@ __all__ = [
     "WorkerPool",
     "available_actions",
     "build_space_parallel",
-    "dump_engine",
     "engine_from_dict",
     "engine_load",
     "engine_save",
     "engine_to_dict",
-    "load_engine",
-    "load_engine_file",
     "policy_report",
     "q_value_table",
     "run_partitions_parallel",
-    "save_engine_file",
     "shared_pool",
     "shutdown_shared_pool",
 ]

@@ -12,15 +12,16 @@ the saved state.
 The stable public surface lives on :class:`~repro.core.engine.AlexEngine`:
 ``engine.to_dict()`` / ``AlexEngine.from_dict(space, state)`` /
 ``engine.save(path)`` / ``AlexEngine.load(space, path)``, which delegate to
-this module's ``engine_*`` functions. The historical four-function surface
-(:func:`dump_engine`, :func:`load_engine`, :func:`save_engine_file`,
-:func:`load_engine_file`) survives as deprecation shims.
+this module's ``engine_*`` functions.
+
+The engine's RNG state is saved too (``"rng_state"``), so a run resumed from
+a snapshot draws the same exploration choices as the uninterrupted run.
+States written without it load with the RNG seeded from ``config.seed``.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 
 from repro.core.config import AlexConfig
 from repro.core.engine import AlexEngine
@@ -127,7 +128,13 @@ def engine_to_dict(engine: AlexEngine) -> dict:
         "episodes_completed": engine.episodes_completed,
         "converged_at": engine.converged_at,
         "relaxed_converged_at": engine.relaxed_converged_at,
+        "rng_state": _rng_state_to_json(engine.rng.getstate()),
     }
+
+
+def _rng_state_to_json(state: tuple) -> list:
+    version, internal, gauss_next = state
+    return [version, list(internal), gauss_next]
 
 
 def engine_from_dict(space: FeatureSpace, state: dict) -> AlexEngine:
@@ -174,6 +181,9 @@ def engine_from_dict(space: FeatureSpace, state: dict) -> AlexEngine:
     engine.relaxed_converged_at = state.get("relaxed_converged_at")
     engine._episode = Episode(index=len(engine.episode_history) + 1)
     engine._last_snapshot = engine.candidates.snapshot()
+    if "rng_state" in state:
+        version, internal, gauss_next = state["rng_state"]
+        engine.rng.setstate((version, tuple(internal), gauss_next))
     return engine
 
 
@@ -188,39 +198,3 @@ def engine_load(space: FeatureSpace, path: str) -> AlexEngine:
     with open(path, encoding="utf-8") as handle:
         return engine_from_dict(space, json.load(handle))
 
-
-# --------------------------------------------------------------------- #
-# Deprecated four-function surface (pre-1.1); use the AlexEngine methods.
-# --------------------------------------------------------------------- #
-
-
-def _deprecated(old: str, new: str) -> None:
-    warnings.warn(
-        f"{old} is deprecated; use {new} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def dump_engine(engine: AlexEngine) -> dict:
-    """Deprecated alias of :meth:`AlexEngine.to_dict`."""
-    _deprecated("dump_engine()", "AlexEngine.to_dict()")
-    return engine_to_dict(engine)
-
-
-def load_engine(space: FeatureSpace, state: dict) -> AlexEngine:
-    """Deprecated alias of :meth:`AlexEngine.from_dict`."""
-    _deprecated("load_engine()", "AlexEngine.from_dict(space, state)")
-    return engine_from_dict(space, state)
-
-
-def save_engine_file(engine: AlexEngine, path: str) -> None:
-    """Deprecated alias of :meth:`AlexEngine.save`."""
-    _deprecated("save_engine_file()", "AlexEngine.save(path)")
-    engine_save(engine, path)
-
-
-def load_engine_file(space: FeatureSpace, path: str) -> AlexEngine:
-    """Deprecated alias of :meth:`AlexEngine.load`."""
-    _deprecated("load_engine_file()", "AlexEngine.load(space, path)")
-    return engine_load(space, path)

@@ -294,8 +294,8 @@ def shared_pool(
 ) -> WorkerPool:
     """The process-wide pool every parallel entry point shares.
 
-    Created on first use and reused by space builds, episode partition runs
-    and federated fan-out alike — "workers spawn once per engine lifetime".
+    Created on first use and reused by space builds and episode partition
+    runs alike — "workers spawn once per engine lifetime".
     A request for more workers than the current pool holds replaces it with
     a bigger one (the old workers are shut down); smaller requests reuse
     the existing pool, so the pool only ever grows to the machine's CPU

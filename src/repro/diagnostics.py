@@ -11,8 +11,9 @@ Both register their code tables here so the codes form one namespace:
 * every code carries a pointer into ``docs/diagnostics.md`` so a tool can
   link a finding straight to its documentation.
 
-``tools/lint_repro.py`` rule R006 enforces the other direction statically:
-any ``ALEX-*`` string literal in library code must name a registered code.
+The code analyzer's rule R006 (``tools/repro_analyzer``) enforces the other
+direction statically: any ``ALEX-*`` string literal in library code must
+name a registered code.
 """
 
 from __future__ import annotations

@@ -68,7 +68,6 @@ class FederatedEngine:
         links: LinkSet | None = None,
         group_exclusive: bool = True,
         strict: bool = False,
-        pool_workers: int | None = None,
     ):
         self.endpoints = list(endpoints)
         if not self.endpoints:
@@ -80,14 +79,6 @@ class FederatedEngine:
         #: :class:`~repro.errors.QueryAnalysisError` on error-level
         #: diagnostics. Default behaviour is unchanged.
         self.strict = strict
-        #: ``pool_workers`` ≥ 2 fans bound joins with many input solutions
-        #: out to the persistent worker pool (see
-        #: :mod:`repro.federation.parallel` for the parity contract);
-        #: ``None``/1 keeps execution fully in-process.
-        self.pool_workers = pool_workers
-        #: endpoint name → (graph version, wire blob); lets repeat queries
-        #: over an unchanged federation skip graph re-encoding.
-        self._wire_cache: dict[str, tuple[int, bytes]] = {}
 
     # ------------------------------------------------------------------ #
     # Public API
@@ -112,13 +103,12 @@ class FederatedEngine:
         obs.inc("federation.queries")
         slog = slowlog.active()
         stats = None
-        requests_before = bytes_before = 0.0
+        requests_before = 0.0
         started = 0.0
         if accounting.enabled() or slog is not None:
             stats = accounting.QueryStats("federated")
             stats.plan_cache_hit = accounting.consume_plan_cache_note()
             requests_before = sum(e.request_count for e in self.endpoints)
-            bytes_before = obs.counter_total(obs.snapshot(), "pool.bytes.shipped")
             started = time.perf_counter()
         with obs.timer("federation.query.seconds"), trace.span(
             "federation.query.execute", endpoints=len(self.endpoints)
@@ -137,9 +127,6 @@ class FederatedEngine:
             stats.rows_out = len(result)
             stats.endpoint_requests = int(
                 sum(e.request_count for e in self.endpoints) - requests_before
-            )
-            stats.bytes_shipped = (
-                obs.counter_total(obs.snapshot(), "pool.bytes.shipped") - bytes_before
             )
             result.stats = stats
             if slog is not None:
@@ -272,23 +259,6 @@ class FederatedEngine:
             raise FederationError("federated query has an empty WHERE clause")
         return bgp, filters
 
-    def _counterpart_choices(self, term: Term) -> list[tuple[Term, frozenset[Link]]]:
-        """The term itself plus its sameAs counterparts, each with the link
-        that justifies the substitution."""
-        return _counterpart_choices(self.links, term)
-
-    def _fanout_pool(self, solutions: list[ProvenancedSolution]):
-        """The worker pool to fan this join out on, or None for in-process."""
-        if self.pool_workers is None or self.pool_workers < 2:
-            return None
-        from repro.federation.parallel import FANOUT_MIN_SOLUTIONS
-
-        if len(solutions) < FANOUT_MIN_SOLUTIONS:
-            return None
-        from repro.core.workers import shared_pool
-
-        return shared_pool(self.pool_workers)
-
     def _bound_join(
         self,
         assignment: SourceAssignment,
@@ -298,26 +268,15 @@ class FederatedEngine:
         pattern = assignment.pattern
         obs.observe("federation.bound_join.input_solutions", len(solutions))
         join_started = time.perf_counter() if stats is not None else 0.0
-        pool = self._fanout_pool(solutions)
-        if pool is not None:
-            from repro.federation.parallel import fan_out_bound_join
-
-            candidates = fan_out_bound_join(
-                [pattern], False, assignment.endpoints, self.links,
-                solutions, pool, self._wire_cache,
-            )
-        else:
-            candidates = (
-                found
-                for solution in solutions
-                for found in _iter_bound_join(pattern, assignment.endpoints, self.links, solution)
-            )
         out: list[ProvenancedSolution] = []
-        _dedup_extend(out, candidates)
+        _dedup_extend(out, (
+            found
+            for solution in solutions
+            for found in _iter_bound_join(pattern, assignment.endpoints, self.links, solution)
+        ))
         if stats is not None:
             seconds = time.perf_counter() - join_started
-            strategy = "bound-join-fanout" if pool is not None else "bound-join"
-            stats.note_strategy(strategy, len(solutions), len(out), seconds)
+            stats.note_strategy("bound-join", len(solutions), len(out), seconds)
             stats.note_phase("join", seconds)
         return out
 
@@ -339,26 +298,15 @@ class FederatedEngine:
         patterns = [assignment.pattern for assignment in group]
         obs.observe("federation.bound_join.input_solutions", len(solutions))
         join_started = time.perf_counter() if stats is not None else 0.0
-        pool = self._fanout_pool(solutions)
-        if pool is not None:
-            from repro.federation.parallel import fan_out_bound_join
-
-            candidates = fan_out_bound_join(
-                patterns, True, [endpoint], self.links,
-                solutions, pool, self._wire_cache,
-            )
-        else:
-            candidates = (
-                found
-                for solution in solutions
-                for found in _iter_bound_join_group(patterns, endpoint, self.links, solution)
-            )
         out: list[ProvenancedSolution] = []
-        _dedup_extend(out, candidates)
+        _dedup_extend(out, (
+            found
+            for solution in solutions
+            for found in _iter_bound_join_group(patterns, endpoint, self.links, solution)
+        ))
         if stats is not None:
             seconds = time.perf_counter() - join_started
-            strategy = "bound-join-fanout" if pool is not None else "bound-join-group"
-            stats.note_strategy(strategy, len(solutions), len(out), seconds)
+            stats.note_strategy("bound-join-group", len(solutions), len(out), seconds)
             stats.note_phase("join", seconds)
         return out
 
@@ -370,13 +318,7 @@ def _solution_key(bindings: Solution) -> tuple:
 
 def _dedup_extend(out: list[ProvenancedSolution], candidates) -> None:
     """Append each first-seen ``(bindings, links, rewrote)`` candidate as a
-    :class:`ProvenancedSolution`, counting accepted sameAs rewrites.
-
-    Shared by the in-process path (candidates stream straight from the
-    iterators below) and the fan-out gather (chunk-locally deduped
-    candidates arrive in chunk order, so first-seen here matches what the
-    sequential pass would have kept).
-    """
+    :class:`ProvenancedSolution`, counting accepted sameAs rewrites."""
     seen: set[tuple] = set()
     for merged, links, rewrote in candidates:
         key = (_solution_key(merged), links)
@@ -391,8 +333,7 @@ def _counterpart_choices(
     links: LinkSet, term: Term
 ) -> list[tuple[Term, frozenset[Link]]]:
     """The term itself plus its sameAs counterparts, each with the link
-    that justifies the substitution. Module-level so pool workers share the
-    exact executor logic."""
+    that justifies the substitution."""
     choices: list[tuple[Term, frozenset[Link]]] = [(term, frozenset())]
     if isinstance(term, URIRef):
         # sorted: counterpart sets iterate in hash order, which varies
@@ -414,8 +355,7 @@ def _iter_bound_join(
     solution: ProvenancedSolution,
 ):
     """One solution's bound-join body: yield every ``(merged_bindings,
-    links_used, rewrote)`` candidate, pre-dedup. Runs identically in-process
-    and inside a pool worker."""
+    links_used, rewrote)`` candidate, pre-dedup."""
     bound_subject = _resolve(pattern.subject, solution.bindings)
     bound_object = _resolve(pattern.object, solution.bindings)
     subject_choices = (
@@ -570,10 +510,6 @@ def _order_patterns(patterns: list[TriplePattern]) -> list[TriplePattern]:
         ordered.append(best)
         known |= best.variables()
     return ordered
-
-
-#: Stable public alias — the facade exports the executor under this name.
-FederatedExecutor = FederatedEngine
 
 
 def _distinct(rows: list[ProvenancedSolution]) -> list[ProvenancedSolution]:

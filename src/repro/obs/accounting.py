@@ -72,7 +72,7 @@ class QueryStats:
     strategies:
         Join strategy → ``{"patterns", "rows_in", "rows_out", "seconds"}``
         (``hash-join`` / ``index-nested-loop`` / ``path-scan``; federation
-        uses ``bound-join`` / ``bound-join-group`` / ``bound-join-fanout``).
+        uses ``bound-join`` / ``bound-join-group``).
     rows_out:
         Result rows (SELECT/federated), constructed triples (CONSTRUCT),
         or 0/1 (ASK).
@@ -81,9 +81,6 @@ class QueryStats:
         execute did not go through :func:`~repro.sparql.prepared.prepare`).
     decodes:
         ID→term dictionary decodes performed while materializing results.
-    bytes_shipped:
-        Worker-pool wire bytes attributable to this query (federated
-        fan-out; 0 for in-process execution).
     endpoint_requests:
         Endpoint requests issued (federated only).
     """
@@ -96,7 +93,6 @@ class QueryStats:
         "rows_out",
         "plan_cache_hit",
         "decodes",
-        "bytes_shipped",
         "endpoint_requests",
     )
 
@@ -108,7 +104,6 @@ class QueryStats:
         self.rows_out = 0
         self.plan_cache_hit: bool | None = None
         self.decodes = 0
-        self.bytes_shipped = 0.0
         self.endpoint_requests = 0
 
     def note_phase(self, op: str, seconds: float) -> None:
@@ -139,7 +134,6 @@ class QueryStats:
             "rows_out": self.rows_out,
             "plan_cache_hit": self.plan_cache_hit,
             "decodes": self.decodes,
-            "bytes_shipped": self.bytes_shipped,
             "endpoint_requests": self.endpoint_requests,
         }
 

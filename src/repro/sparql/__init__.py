@@ -17,9 +17,6 @@ from repro.sparql.ast import (
 from repro.sparql.eval import (
     EvalObserver,
     QueryResult,
-    evaluate_ask,
-    evaluate_construct,
-    evaluate_select,
     query,
 )
 from repro.sparql.explain import PLAN_SCHEMA, PlanNode, QueryPlan, explain
@@ -49,9 +46,6 @@ __all__ = [
     "analyze_query",
     "check_query",
     "clear_plan_cache",
-    "evaluate_ask",
-    "evaluate_construct",
-    "evaluate_select",
     "explain",
     "parse_query",
     "prepare",

@@ -21,9 +21,8 @@ graph's dictionary is never mutated by a read.
 
 The stable entry points are :func:`repro.sparql.prepare` /
 :class:`~repro.sparql.prepared.PreparedQuery` and the thin
-:func:`query` wrapper. ``evaluate_select`` / ``evaluate_ask`` /
-``evaluate_construct`` remain as deprecated shims. Solutions crossing the
-public API are still dicts mapping :class:`Var` to terms.
+:func:`query` wrapper. Solutions crossing the public API are still dicts
+mapping :class:`Var` to terms.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from __future__ import annotations
 import operator
 import re
 import time
-import warnings
 import weakref
 from typing import Callable, Iterable, Iterator
 
@@ -1518,41 +1516,6 @@ def _execute_construct(
                 continue
             out.add(Triple(subject, predicate, obj))
     return out
-
-
-# --------------------------------------------------------------------- #
-# Deprecated direct entry points (pre-1.6); use prepare()/query()
-# --------------------------------------------------------------------- #
-
-
-def _deprecated(old: str, new: str) -> None:
-    warnings.warn(
-        f"{old} is deprecated; use {new} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def evaluate_select(
-    graph: Graph, query: SelectQuery, observer: EvalObserver | None = None
-) -> QueryResult:
-    """Deprecated alias of ``prepare(...).execute(graph)`` for SELECT ASTs."""
-    _deprecated("evaluate_select()", "repro.sparql.prepare(text).execute(graph)")
-    return _execute_select(graph, query, observer=observer)
-
-
-def evaluate_ask(
-    graph: Graph, query: AskQuery, observer: EvalObserver | None = None
-) -> bool:
-    """Deprecated alias of ``prepare(...).execute(graph)`` for ASK ASTs."""
-    _deprecated("evaluate_ask()", "repro.sparql.prepare(text).execute(graph)")
-    return _execute_ask(graph, query, observer=observer)
-
-
-def evaluate_construct(graph: Graph, query, observer: EvalObserver | None = None) -> Graph:
-    """Deprecated alias of ``prepare(...).execute(graph)`` for CONSTRUCT ASTs."""
-    _deprecated("evaluate_construct()", "repro.sparql.prepare(text).execute(graph)")
-    return _execute_construct(graph, query, observer=observer)
 
 
 def query(graph: Graph, text: str, strict: bool = False, profile: bool = False):

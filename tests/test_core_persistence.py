@@ -1,16 +1,12 @@
-"""Tests for engine state save/load (the AlexEngine method API + shims)."""
+"""Tests for engine state save/load (the AlexEngine method API)."""
 
 import json
+import random
 
 import pytest
 
 from repro.core import AlexConfig, AlexEngine
-from repro.core.persistence import (
-    dump_engine,
-    load_engine,
-    load_engine_file,
-    save_engine_file,
-)
+from repro.datasets import PERSON_PROFILE, PairSpec, generate_pair
 from repro.errors import ConfigError
 from repro.features import FeatureSpace
 from repro.feedback import FeedbackSession, GroundTruthOracle
@@ -111,24 +107,81 @@ class TestRoundTrip:
         assert first == second
 
 
+def _trajectory(session: FeedbackSession, episodes: int) -> list:
+    """Per-episode (feedback count, candidate snapshot) of a session."""
+    out = []
+    for _ in range(episodes):
+        stats = session.run_episode(20)
+        out.append((stats.feedback_count, session.engine.candidates.snapshot()))
+    return out
+
+
+def _canonical(state: dict) -> dict:
+    """``to_dict`` output with list entries in a fixed order (the ledger's
+    links and the distinctiveness features are dumped in set order)."""
+    state = dict(state)
+    state["ledger"] = [dict(entry, links=sorted(entry["links"])) for entry in state["ledger"]]
+    return {
+        key: sorted(json.dumps(item, sort_keys=True) for item in value)
+        if isinstance(value, list) else value
+        for key, value in state.items()
+    }
+
+
+class TestResumeParity:
+    """Resuming from a mid-run snapshot reproduces the uninterrupted run."""
+
+    @pytest.fixture(scope="class")
+    def pair(self):
+        return generate_pair(
+            PairSpec(
+                name="resume",
+                left_name="left",
+                right_name="right",
+                profiles=(PERSON_PROFILE,),
+                n_shared=20,
+                n_left_only=10,
+                n_right_only=10,
+                noise_left=0.1,
+                noise_right=0.25,
+                seed=21,
+            )
+        )
+
+    @pytest.fixture(scope="class")
+    def pair_space(self, pair):
+        return FeatureSpace.build(pair.left, pair.right, theta=0.3)
+
+    def _fresh_session(self, pair, pair_space) -> FeedbackSession:
+        initial = sorted(pair.ground_truth, key=lambda l: (l.left.value, l.right.value))[:3]
+        engine = AlexEngine(pair_space, LinkSet(initial), AlexConfig(episode_size=20, seed=7))
+        return FeedbackSession(engine, GroundTruthOracle(pair.ground_truth), seed=7)
+
+    def test_resume_matches_uninterrupted_run(self, pair, pair_space):
+        reference = self._fresh_session(pair, pair_space)
+        uninterrupted = _trajectory(reference, 6)
+
+        session = self._fresh_session(pair, pair_space)
+        head = _trajectory(session, 2)
+        state = json.loads(json.dumps(session.engine.to_dict()))
+        restored = AlexEngine.from_dict(pair_space, state)
+        resumed = FeedbackSession(restored, GroundTruthOracle(pair.ground_truth))
+        resumed.rng.setstate(session.rng.getstate())
+
+        assert head + _trajectory(resumed, 4) == uninterrupted
+        assert _canonical(restored.to_dict()) == _canonical(reference.engine.to_dict())
+
+    def test_state_without_rng_state_still_loads(self, space, trained_engine):
+        state = trained_engine.to_dict()
+        del state["rng_state"]
+        restored = AlexEngine.from_dict(space, state)
+        assert restored.rng.getstate() == random.Random(trained_engine.config.seed).getstate()
+        assert restored.candidates.snapshot() == trained_engine.candidates.snapshot()
+
+
 class TestDeprecatedShims:
-    """The pre-1.1 four-function surface still works, but warns."""
-
-    def test_dump_and_load_engine_warn_and_round_trip(self, space, trained_engine):
-        with pytest.warns(DeprecationWarning, match="AlexEngine.to_dict"):
-            state = dump_engine(trained_engine)
-        assert state == trained_engine.to_dict()
-        with pytest.warns(DeprecationWarning, match="AlexEngine.from_dict"):
-            restored = load_engine(space, state)
-        assert restored.candidates.snapshot() == trained_engine.candidates.snapshot()
-
-    def test_file_shims_warn_and_round_trip(self, space, trained_engine, tmp_path):
-        path = str(tmp_path / "engine.json")
-        with pytest.warns(DeprecationWarning, match="AlexEngine.save"):
-            save_engine_file(trained_engine, path)
-        with pytest.warns(DeprecationWarning, match="AlexEngine.load"):
-            restored = load_engine_file(space, path)
-        assert restored.candidates.snapshot() == trained_engine.candidates.snapshot()
+    """The pre-1.1 four-function surface was removed in 2.0.0; the
+    AlexEngine methods that replaced it never warn."""
 
     def test_new_api_does_not_warn(self, space, trained_engine, tmp_path):
         import warnings

@@ -1,6 +1,6 @@
 """Analyzer infrastructure: baseline machinery, output formats, the
 diagnostics-registry integration, the committed baseline/writers.json
-artifacts, and the lint_repro deprecation wrapper."""
+artifacts, and the standalone repo-invariants run CI uses."""
 
 from __future__ import annotations
 
@@ -257,14 +257,16 @@ def test_render_sarif_shape():
         assert rule_ids[result["ruleIndex"]] == result["ruleId"]
 
 
-# -- the deprecation wrapper and CLI ------------------------------------------
+# -- the standalone repo-invariants run and CLI -------------------------------
 
 
-def test_lint_repro_wrapper_runs_standalone_and_clean():
-    """The historical invocation — no PYTHONPATH, exit 0 on a clean tree."""
+def test_repo_rules_run_standalone_and_clean():
+    """CI's invocation — only ``tools`` on PYTHONPATH (``repro`` need not
+    be importable), exit 0 on a clean tree."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env["PYTHONPATH"] = os.path.join(REPO_ROOT, "tools")
     completed = subprocess.run(
-        [sys.executable, os.path.join(REPO_ROOT, "tools", "lint_repro.py")],
+        [sys.executable, "-m", "repro_analyzer", "--rules", "repo", "--baseline", "none"],
         capture_output=True, text=True, env=env, cwd=REPO_ROOT,
     )
     assert completed.returncode == 0, completed.stdout + completed.stderr

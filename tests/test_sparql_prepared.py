@@ -1,4 +1,4 @@
-"""Tests for the prepared-query API, the plan cache, and deprecation shims."""
+"""Tests for the prepared-query API, the plan cache, and the facade exports."""
 
 import warnings
 
@@ -11,9 +11,6 @@ from repro.sparql import (
     PreparedQuery,
     Var,
     clear_plan_cache,
-    evaluate_ask,
-    evaluate_construct,
-    evaluate_select,
     prepare,
     query,
 )
@@ -109,24 +106,8 @@ class TestPlanCache:
 
 
 class TestDeprecatedEntryPoints:
-    def test_evaluate_select_warns_but_works(self, graph):
-        parsed = parse_query(PRE + "SELECT ?n WHERE { ?p ex:name ?n }")
-        with pytest.warns(DeprecationWarning, match="evaluate_select"):
-            result = evaluate_select(graph, parsed)
-        assert len(result) == 3
-
-    def test_evaluate_ask_warns_but_works(self, graph):
-        parsed = parse_query(PRE + "ASK { ?p ex:knows ?q }")
-        with pytest.warns(DeprecationWarning, match="evaluate_ask"):
-            assert evaluate_ask(graph, parsed) is True
-
-    def test_evaluate_construct_warns_but_works(self, graph):
-        parsed = parse_query(
-            PRE + "CONSTRUCT { ?q ex:knownBy ?p } WHERE { ?p ex:knows ?q }"
-        )
-        with pytest.warns(DeprecationWarning, match="evaluate_construct"):
-            constructed = evaluate_construct(graph, parsed)
-        assert len(constructed) == 2
+    """The pre-1.6 ``evaluate_*`` shims were removed in 2.0.0; the
+    prepared path that replaced them never warns."""
 
     def test_prepared_path_does_not_warn(self, graph):
         with warnings.catch_warnings():
@@ -148,7 +129,7 @@ class TestFacadeExports:
         assert dictionary.decode(dictionary.encode(term)) == term
 
     def test_version_bumped(self):
-        assert repro.__version__ == "1.10.0"
+        assert repro.__version__ == "2.0.0"
 
     def test_query_result_column_var(self, graph):
         result = query(graph, PRE + "SELECT ?n WHERE { ?p ex:name ?n }")

@@ -25,8 +25,7 @@ could not enforce —
   escapes its lock.
 
 The historical repo invariants R001-R007 are migrated as the "repo" pass
-family; ``tools/lint_repro.py`` remains as a deprecation wrapper running
-exactly that family.
+family; ``python -m repro_analyzer --rules repo`` runs exactly that family.
 
 Usage: ``python -m repro_analyzer [paths...]`` standalone, or
 ``repro lint-code`` through the package CLI. Findings support text/JSON/

@@ -7,8 +7,9 @@ to ``(severity, summary)`` and is documented under the matching anchor in
 ``docs/diagnostics.md``.
 
 Registration into ``repro.diagnostics`` is best-effort: the analyzer must
-keep working when invoked standalone (CI runs ``tools/lint_repro.py``
-without ``PYTHONPATH=src``), so the import of ``repro`` is guarded.
+keep working when invoked standalone (CI runs ``python -m repro_analyzer
+--rules repo`` with only ``PYTHONPATH=tools``), so the import of ``repro``
+is guarded.
 
 The migrated repo-invariant rules keep their historical ``R00x`` names;
 they are deliberately *not* part of the ALEX-C namespace (they are repo

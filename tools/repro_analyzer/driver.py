@@ -27,8 +27,8 @@ from .rules_mutation import MutationSafetyPass
 from .rules_repo import RepoInvariantsPass
 from .rules_rng import RngDisciplinePass
 
-#: Rule families -> pass factory. The wrapper (tools/lint_repro.py) runs
-#: only "repo"; `repro lint-code` runs everything by default.
+#: Rule families -> pass factory. CI's repo-invariants step runs only
+#: "repo"; `repro lint-code` runs everything by default.
 PASS_FAMILIES: dict[str, type[Pass]] = {
     "repo": RepoInvariantsPass,
     "encoding": EncodingBoundaryPass,

@@ -7,8 +7,8 @@ can emit and inspects one parsed module at a time through a
 every pass needs (parent links, enclosing-function lookup, loop depth).
 
 The module deliberately has **no dependency on the repro package**: the
-repo-invariant wrapper (``tools/lint_repro.py``) must run in CI jobs that
-never set ``PYTHONPATH=src``. Severity names mirror
+repo-invariant check (``python -m repro_analyzer --rules repo``) must run
+in CI jobs that never set ``PYTHONPATH=src``. Severity names mirror
 ``repro.diagnostics.SEVERITIES`` and the driver cross-registers the code
 table when ``repro`` is importable (see :mod:`repro_analyzer.codes`).
 """
@@ -322,8 +322,8 @@ class Pass:
     A pass declares ``name`` and its ``codes`` table (code ->
     (severity, summary)) and implements :meth:`run`, returning findings for
     one module. Docs for each code live in ``docs/diagnostics.md`` under
-    the ``#alex-cNNN`` anchors (R-rules keep their historical docs in the
-    module docstring of ``tools/lint_repro.py``).
+    the ``#alex-cNNN`` anchors (R-rules are documented in
+    :mod:`repro_analyzer.rules_repo` and ``docs/diagnostics.md``).
     """
 
     name: str = "pass"

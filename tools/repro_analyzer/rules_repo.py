@@ -1,6 +1,5 @@
-"""Repo-invariant rules R001-R007, migrated from the regex-grade
-``tools/lint_repro.py`` (which now execs this analyzer as a deprecation
-wrapper).
+"""Repo-invariant rules R001-R007, migrated from the former regex-grade
+repo linter.
 
 Semantics are preserved from the original linter; the findings now carry
 column positions and flow through the same baseline / output machinery as
