@@ -40,12 +40,13 @@ import atexit
 import os
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro import obs
 from repro.errors import ConfigError
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 #: Seconds without a task batch before the workers are shut down.
 DEFAULT_IDLE_TIMEOUT = 300.0
@@ -168,6 +169,8 @@ class WorkerPool:
             self._touch()
 
     def _run_batch(self, fn: Callable, tasks: list[tuple], label: str) -> list:
+        from concurrent.futures.process import BrokenProcessPool
+
         results: list[Any] = [None] * len(tasks)
         pending = list(range(len(tasks)))
         for _attempt in range(2):
@@ -206,6 +209,10 @@ class WorkerPool:
 
     def _ensure_executor(self) -> ProcessPoolExecutor:
         """The live executor, spawning one (lazily) when none exists."""
+        # Imported here, not at module load: a single-process run never
+        # creates a pool and so never loads multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         with self._lock:
             if self._closed:
                 raise ConfigError(f"worker pool {self.name!r} is closed")

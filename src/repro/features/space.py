@@ -34,6 +34,10 @@ from repro.similarity.prepared import (
     prepare_pairs,
 )
 
+#: Version of the file :meth:`FeatureSpace.save` writes. Format 2 stores
+#: links-only range indexes; format-1 files must be rebuilt.
+SPACE_FILE_FORMAT = 2
+
 
 class FeatureSpace:
     """All candidate pairs that pass θ, with fast per-feature range queries."""
@@ -43,9 +47,10 @@ class FeatureSpace:
             raise FeatureSpaceError(f"theta must be in [0,1], got {theta}")
         self.theta = theta
         self._feature_sets: dict[Link, FeatureSet] = {}
-        #: per-feature sorted lists of (score, link); parallel score arrays
-        #: for bisect.
-        self._index: dict[FeatureKey, list[tuple[float, Link]]] = {}
+        #: per-feature lists: unsorted (score, link) entries while the space
+        #: is built; after freeze() the links alone, in score order, beside
+        #: the parallel score arrays ``_scores_only`` that explore bisects.
+        self._index: dict[FeatureKey, list] = {}
         self._scores_only: dict[FeatureKey, list[float]] = {}
         #: left URI → links, built at freeze time (fast links_of_left).
         self._by_left: dict[URIRef, list[Link]] = {}
@@ -175,10 +180,22 @@ class FeatureSpace:
         return feature_set
 
     def freeze(self) -> None:
-        """Sort the range indexes; the space becomes read-only."""
+        """Sort the range indexes; the space becomes read-only.
+
+        Each feature's ``(score, link)`` entries split into a score array
+        and a links-only list in the same order, so :meth:`explore` returns
+        a plain slice. Freezing a frozen space does nothing.
+        """
+        if self._frozen:
+            return
+        links_only: dict[FeatureKey, list[Link]] = {}
+        scores_only: dict[FeatureKey, list[float]] = {}
         for key, entries in self._index.items():
             entries.sort(key=lambda entry: (entry[0], entry[1].left.value, entry[1].right.value))
-            self._scores_only[key] = [score for score, _ in entries]
+            scores_only[key] = [score for score, _ in entries]
+            links_only[key] = [link for _, link in entries]
+        self._index = links_only
+        self._scores_only = scores_only
         by_left: dict[URIRef, list[Link]] = {}
         for link in self._feature_sets:
             by_left.setdefault(link.left, []).append(link)
@@ -200,15 +217,15 @@ class FeatureSpace:
         if not self._frozen:
             raise FeatureSpaceError("freeze() the space before exploring")
         obs.inc("space.explore.calls")
-        entries = self._index.get(key)
-        if not entries:
+        links = self._index.get(key)
+        if not links:
             return []
         scores = self._scores_only[key]
         low = bisect.bisect_left(scores, center - step)
         high = bisect.bisect_right(scores, center + step)
         if high > low:
             obs.inc("space.explore.candidates", high - low)
-        return [link for _, link in entries[low:high]]
+        return links[low:high]
 
     def feature_keys(self) -> list[FeatureKey]:
         return sorted(self._index, key=lambda k: (k[0].value, k[1].value))
@@ -217,10 +234,8 @@ class FeatureSpace:
         return iter(self._feature_sets)
 
     def links_of_left(self, left: URIRef) -> list[Link]:
-        # getattr: spaces pickled before the index existed reload fine
-        by_left = getattr(self, "_by_left", None)
-        if self._frozen and by_left is not None:
-            return list(by_left.get(left, ()))
+        if self._frozen:
+            return list(self._by_left.get(left, ()))
         return [link for link in self._feature_sets if link.left == left]
 
     @property
@@ -255,7 +270,7 @@ class FeatureSpace:
         if not self._frozen:
             raise FeatureSpaceError("freeze() the space before saving")
         with open(path, "wb") as handle:
-            pickle.dump({"format": 1, "space": self}, handle)
+            pickle.dump({"format": SPACE_FILE_FORMAT, "space": self}, handle)
 
     @classmethod
     def load(cls, path: str) -> "FeatureSpace":
@@ -264,8 +279,16 @@ class FeatureSpace:
 
         with open(path, "rb") as handle:
             payload = pickle.load(handle)
-        if not isinstance(payload, dict) or payload.get("format") != 1:
+        if not isinstance(payload, dict) or "format" not in payload:
             raise FeatureSpaceError(f"unrecognized feature-space file: {path!r}")
+        if payload["format"] != SPACE_FILE_FORMAT:
+            # a format-1 space indexes (score, link) pairs, which explore()
+            # would hand out as links
+            raise FeatureSpaceError(
+                f"feature-space file {path!r} has format {payload['format']!r}, "
+                f"this version reads format {SPACE_FILE_FORMAT}: rebuild the "
+                "space with FeatureSpace.build and save it again"
+            )
         space = payload["space"]
         if not isinstance(space, cls):
             raise FeatureSpaceError(f"file does not contain a FeatureSpace: {path!r}")

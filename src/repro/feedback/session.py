@@ -54,9 +54,10 @@ class FeedbackSession:
         self.elapsed_seconds = 0.0
 
     def _candidate_pool(self) -> list[Link]:
-        pool = list(self.engine.candidates)
-        pool.sort(key=lambda link: (link.left.value, link.right.value))
-        return pool
+        # A live list the candidate set keeps sorted across add/remove, so
+        # re-reading it after a change costs no sort. (PartitionedAlex
+        # merges a fresh set per call, which sorts once.)
+        return self.engine.candidates.ordered()
 
     def run_episode(self, episode_size: int) -> EpisodeStats:
         """Collect one episode of feedback, then improve the policy."""
@@ -90,16 +91,11 @@ class FeedbackSession:
     def run(self, episode_size: int, max_episodes: int | None = None) -> int:
         """Run episodes until the engine stops; returns episodes run."""
         episodes = 0
-        budget = max_episodes if max_episodes is not None else self._config_max_episodes()
+        budget = max_episodes if max_episodes is not None else self.engine.config.max_episodes
         while not self.engine.stopped and episodes < budget:
             self.run_episode(episode_size)
             episodes += 1
         return episodes
-
-    def _config_max_episodes(self) -> int:
-        if isinstance(self.engine, AlexEngine):
-            return self.engine.config.max_episodes
-        return self.engine.config.max_episodes
 
 
 class QueryFeedbackSession:

@@ -10,6 +10,7 @@ engine can measure convergence ("set of candidate links did not change").
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, Iterator, NamedTuple
 
 from repro.rdf.graph import Graph
@@ -36,13 +37,20 @@ class Link(NamedTuple):
         return f"{self.left} sameAs {self.right}"
 
 
+def _order_key(link: Link) -> tuple[str, str]:
+    """The sort key of :meth:`LinkSet.ordered`: both URIs, left first."""
+    return (link.left.value, link.right.value)
+
+
 class LinkSet:
     """A set of links with per-side indexes and optional scores.
 
     Orientation matters: ``left`` entities come from the first dataset and
     ``right`` from the second. ``by_left``/``by_right`` return the linked
     counterparts of an entity, which is what the federated query rewriter
-    consults.
+    consults. ``ordered()`` returns the links sorted by their URIs; the
+    order is built on its first call and kept up to date by ``add`` and
+    ``remove`` from then on.
     """
 
     def __init__(self, links: Iterable[Link] = (), name: str = ""):
@@ -51,6 +59,9 @@ class LinkSet:
         self._by_left: dict[URIRef, set[URIRef]] = {}
         self._by_right: dict[URIRef, set[URIRef]] = {}
         self._scores: dict[Link, float] = {}
+        #: ordered() and its parallel sort keys; None until first asked for.
+        self._ordered: list[Link] | None = None
+        self._keys: list[tuple[str, str]] | None = None
         for link in links:
             self.add(link)
 
@@ -63,6 +74,11 @@ class LinkSet:
             self._links.add(link)
             self._by_left.setdefault(link.left, set()).add(link.right)
             self._by_right.setdefault(link.right, set()).add(link.left)
+            if self._ordered is not None:
+                key = _order_key(link)
+                index = bisect_left(self._keys, key)
+                self._keys.insert(index, key)
+                self._ordered.insert(index, link)
         if score is not None:
             self._scores[link] = score
         return is_new
@@ -83,6 +99,12 @@ class LinkSet:
             lefts.discard(link.left)
             if not lefts:
                 del self._by_right[link.right]
+        if self._ordered is not None:
+            index = bisect_left(self._keys, _order_key(link))
+            while self._ordered[index] != link:  # only on equal sort keys
+                index += 1
+            del self._keys[index]
+            del self._ordered[index]
         return True
 
     def update(self, links: Iterable[Link]) -> int:
@@ -113,6 +135,20 @@ class LinkSet:
             yield Link(entity, right)
         for left in self._by_right.get(entity, ()):
             yield Link(left, entity)
+
+    def ordered(self) -> list[Link]:
+        """The links sorted by ``(left.value, right.value)``, read-only.
+
+        The list is the set's own and changes with it: callers must not
+        mutate it, and should copy it to keep a snapshot. The first call
+        sorts; later ``add``/``remove`` calls keep it sorted by bisection,
+        so a sampler that re-reads it after every change pays no sort.
+        """
+        if self._ordered is None:
+            ordered = sorted(self._links, key=_order_key)
+            self._keys = [_order_key(link) for link in ordered]
+            self._ordered = ordered
+        return self._ordered
 
     # -- whole-set operations ----------------------------------------------- #
 
@@ -155,6 +191,9 @@ class LinkSet:
         out._by_left = {k: set(v) for k, v in self._by_left.items()}
         out._by_right = {k: set(v) for k, v in self._by_right.items()}
         out._scores = dict(self._scores)
+        if self._ordered is not None:
+            out._ordered = list(self._ordered)
+            out._keys = list(self._keys)
         return out
 
     def to_graph(self) -> Graph:

@@ -84,6 +84,42 @@ class TestFeatureSpacePersistence:
         with pytest.raises(FeatureSpaceError):
             FeatureSpace.load(path)
 
+    def test_format_1_file_rejected_with_rebuild_hint(self, pair, tmp_path):
+        import pickle
+
+        # a format-1 file held a space whose range index was (score, link)
+        # pairs; loading it must fail rather than explore into tuples
+        space = FeatureSpace.build(pair.left, pair.right)
+        space._index = {
+            key: list(zip(space._scores_only[key], links))
+            for key, links in space._index.items()
+        }
+        path = str(tmp_path / "old.bin")
+        with open(path, "wb") as handle:
+            pickle.dump({"format": 1, "space": space}, handle)
+        with pytest.raises(FeatureSpaceError, match="rebuild"):
+            FeatureSpace.load(path)
+
+    def test_saved_file_is_format_2(self, pair, tmp_path):
+        import pickle
+
+        space = FeatureSpace.build(pair.left, pair.right)
+        path = str(tmp_path / "space.bin")
+        space.save(path)
+        with open(path, "rb") as handle:
+            assert pickle.load(handle)["format"] == 2
+
+    def test_freeze_is_idempotent(self, pair):
+        from repro.links import Link
+
+        space = FeatureSpace.build(pair.left, pair.right)
+        before = {key: space.explore(key, 0.75, 0.25) for key in space.feature_keys()}
+        space.freeze()
+        after = {key: space.explore(key, 0.75, 0.25) for key in space.feature_keys()}
+        assert after == before
+        assert all(isinstance(link, Link) for links in after.values() for link in links)
+        assert any(after.values())
+
     def test_loaded_space_drives_engine(self, pair, tmp_path):
         from repro.core import AlexConfig, AlexEngine
         from repro.feedback import FeedbackSession, GroundTruthOracle

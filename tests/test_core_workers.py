@@ -7,6 +7,8 @@ no-pickled-entities shipping contract.
 """
 
 import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -146,6 +148,22 @@ class TestWireFormat:
 
 
 class TestPoolLifecycle:
+    def test_import_does_not_load_the_pool_machinery(self):
+        # the single-process default never creates a pool, so importing the
+        # package must not pay for multiprocessing
+        package = os.path.dirname(os.path.dirname(os.path.abspath(workers_mod.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(package))
+        code = (
+            "import sys, repro, repro.core.workers\n"
+            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process')"
+            " if m in sys.modules))"
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.strip() == "[]"
+
     def test_effective_size_clamps_to_cpus(self):
         cpus = effective_size(None)
         assert cpus >= 1

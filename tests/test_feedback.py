@@ -1,5 +1,7 @@
 """Unit tests for feedback oracles and sessions."""
 
+import hashlib
+
 import pytest
 
 from repro.core import AlexConfig, AlexEngine
@@ -118,3 +120,65 @@ class TestFeedbackSession:
         session.run_episode(5)
         session.run_episode(5)
         assert calls == [1, 2]
+
+
+class TestCandidatePoolParity:
+    """The session samples from ``LinkSet.ordered()``; a loop that re-sorts
+    the whole candidate list after every change must draw the same links."""
+
+    @staticmethod
+    def _series_entry(candidates: LinkSet) -> tuple[int, str]:
+        lines = sorted(f"{l.left.value} {l.right.value}\n" for l in candidates)
+        return len(candidates), hashlib.sha256("".join(lines).encode()).hexdigest()
+
+    @staticmethod
+    def _reference_episode(engine, oracle, rng, episode_size):
+        def resorted_pool():
+            return sorted(engine.candidates, key=lambda l: (l.left.value, l.right.value))
+
+        pool = resorted_pool()
+        for _ in range(episode_size):
+            if not pool:
+                break
+            link = pool[rng.randrange(len(pool))]
+            verdict = oracle.judge(link)
+            discovered = engine.process_feedback(link, verdict)
+            if verdict is False or discovered:
+                pool = resorted_pool()
+        return engine.end_episode()
+
+    def test_series_matches_resorting_reference(self):
+        import random
+
+        from repro.datasets import load_pair
+        from repro.paris import paris_links
+
+        pair = load_pair("dbpedia_nba_nytimes")
+        space = FeatureSpace.build(pair.left, pair.right)
+        # a permissive threshold: wrong links to remove as well as gaps to explore
+        initial = paris_links(pair.left, pair.right, 0.1)
+        config = AlexConfig(episode_size=25, seed=3)
+        episodes, size = 8, 25
+
+        engine = AlexEngine(space, initial, config)
+        series, stats = [], []
+        session = FeedbackSession(
+            engine, GroundTruthOracle(pair.ground_truth), seed=5,
+            on_episode_end=lambda s, candidates: (
+                stats.append(s), series.append(self._series_entry(candidates))
+            ),
+        )
+        for _ in range(episodes):
+            session.run_episode(size)
+
+        reference_engine = AlexEngine(space, initial, config)
+        oracle, rng = GroundTruthOracle(pair.ground_truth), random.Random(5)
+        reference = []
+        for _ in range(episodes):
+            self._reference_episode(reference_engine, oracle, rng, size)
+            reference.append(self._series_entry(reference_engine.candidates))
+
+        assert series == reference
+        # the run exercised both directions in which the pool changes
+        assert sum(s.links_removed for s in stats) > 0
+        assert sum(s.links_discovered for s in stats) > 0

@@ -381,14 +381,6 @@ class TestLinksOfLeft:
         space._feature_sets[link] = None
         assert space.links_of_left(left_uri) == [link]
 
-    def test_old_pickles_without_index_still_work(self, pair_entities):
-        left, right = pair_entities
-        space = FeatureSpace.build(left[:10], right[:10], fast=True)
-        del space._by_left  # a space saved before the index existed
-        some = [l for l in space.links()]
-        if some:
-            assert space.links_of_left(some[0].left)
-
 
 class TestGraphCountFastPath:
     def test_bound_po_count(self):

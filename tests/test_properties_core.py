@@ -42,6 +42,45 @@ class TestLinkSetProperties:
         assert len(linkset) == 0
         assert not linkset._by_left and not linkset._by_right
 
+    @given(
+        link_lists,
+        st.lists(
+            st.one_of(
+                st.tuples(st.just("add"), links, st.none() | st.floats(0.0, 1.0)),
+                st.tuples(st.just("remove"), links),
+                st.tuples(st.just("update"), link_lists),
+                st.tuples(st.just("ordered")),
+                st.tuples(st.just("copy")),
+                st.tuples(st.just("filter"), st.floats(0.0, 1.0)),
+            ),
+            max_size=40,
+        ),
+    )
+    def test_ordered_matches_a_full_sort(self, initial, operations):
+        def expected(linkset):
+            return sorted(linkset, key=lambda l: (l.left.value, l.right.value))
+
+        linkset = LinkSet(initial)
+        for operation in operations:
+            name = operation[0]
+            if name == "add":
+                linkset.add(operation[1], operation[2])
+            elif name == "remove":
+                linkset.remove(operation[1])
+            elif name == "update":
+                linkset.update(operation[1])
+            elif name == "ordered":
+                view = linkset.ordered()
+                assert view == expected(linkset)
+                assert linkset.ordered() is view  # live, not rebuilt
+            elif name == "copy":
+                original, linkset = linkset, linkset.copy()
+                linkset.add(make_link((99, 99)))  # the copy's order is its own
+                assert original.ordered() == expected(original)
+            else:
+                linkset = linkset.filter_by_score(operation[1])
+        assert linkset.ordered() == expected(linkset)
+
     @given(link_lists, link_lists)
     def test_change_fraction_zero_iff_equal(self, a, b):
         before, after = frozenset(a), frozenset(b)

@@ -165,7 +165,8 @@ class AnalyzerConfig:
     designated_writers: dict[str, tuple[str, ...]] = field(default_factory=lambda: {
         "Graph": ("__init__", "add", "add_all", "remove", "clear"),
         "TermDictionary": ("__init__", "encode"),
-        "LinkSet": ("__init__", "add", "remove", "update"),
+        # ordered() builds the sorted view lazily on its first call
+        "LinkSet": ("__init__", "add", "remove", "update", "ordered"),
         "AlexEngine": (
             "__init__", "process_feedback", "end_episode", "preflight",
             "_credit", "_explore_from", "_remove_link", "_maybe_rollback",
