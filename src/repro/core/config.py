@@ -36,11 +36,6 @@ class AlexConfig:
     distinctiveness_min_negatives: int = 10
     distinctiveness_negative_fraction: float = 0.85
     seed: int = 0
-    #: Worker processes for partitioned execution; 0 sizes to the machine's
-    #: CPUs. The pool is shared and persistent (see repro.core.workers).
-    pool_workers: int = 0
-    #: Seconds a quiet pool keeps its workers alive before shutting down.
-    pool_idle_timeout: float = 300.0
     #: Sampling interval (seconds) of the background telemetry
     #: :class:`~repro.obs.Reporter`; 0 (default) disables reporting.
     #: Both ``report_interval`` > 0 and ``report_path`` must be set for the
@@ -76,10 +71,6 @@ class AlexConfig:
             raise ConfigError("distinctiveness_min_negatives must be >= 1")
         if not (0.0 < self.distinctiveness_negative_fraction <= 1.0):
             raise ConfigError("distinctiveness_negative_fraction must be in (0, 1]")
-        if self.pool_workers < 0:
-            raise ConfigError(f"pool_workers must be >= 0, got {self.pool_workers}")
-        if self.pool_idle_timeout <= 0.0:
-            raise ConfigError(f"pool_idle_timeout must be > 0, got {self.pool_idle_timeout}")
         if self.report_interval < 0.0:
             raise ConfigError(
                 f"report_interval must be >= 0, got {self.report_interval}"

@@ -83,9 +83,6 @@ class AlexEngine:
             config.report_interval > 0 and config.report_path is not None
         )
         self._closed = False
-        #: set by :meth:`pool`: only an engine that acquired the shared
-        #: pool releases it on :meth:`close`
-        self._acquired_pool = False
         self._episode_started = time.perf_counter()
 
     # ------------------------------------------------------------------ #
@@ -111,20 +108,8 @@ class AlexEngine:
         return link in self.candidates or link in self.space
 
     # ------------------------------------------------------------------ #
-    # Worker pool lifecycle
+    # Background services
     # ------------------------------------------------------------------ #
-
-    def pool(self):
-        """The persistent worker pool, sized per this engine's config.
-
-        Lazy: no worker process exists until the first partitioned task
-        batch runs. Repeated calls (and repeated builds) reuse the same
-        pool — workers spawn once per engine lifetime.
-        """
-        from repro.core.workers import shared_pool
-
-        self._acquired_pool = True
-        return shared_pool(self.config.pool_workers, self.config.pool_idle_timeout)
 
     def reporter(self):
         """The engine-owned background :class:`~repro.obs.Reporter`, or
@@ -147,19 +132,16 @@ class AlexEngine:
         return self._reporter
 
     def close(self) -> None:
-        """Release engine resources: stops the background reporter, flushes
-        the slowlog, and shuts down the shared worker pool if this engine
-        acquired it through :meth:`pool`.
+        """Release engine resources: stops the background reporter and
+        flushes the slowlog.
 
         Idempotent — closing twice (or closing an engine whose reporter
-        never started) is a no-op the second time. Call when the engine
-        (and any partitioned execution it drove) is finished, so test runs
-        and services don't leak worker processes or reporter threads;
-        ``atexit`` covers the forgetful caller. An engine that never asked
-        for the pool leaves it alone: other code in the process may own it.
+        never started) is a no-op the second time. Call when the engine is
+        finished, so test runs and services don't leak reporter threads.
+        The shared worker pool is not the engine's: whoever sized it
+        (:meth:`FeatureSpace.build`, ``run_partitions_parallel``) reuses
+        it, and ``shutdown_shared_pool()`` or ``atexit`` tears it down.
         """
-        from repro.core.workers import shutdown_shared_pool
-
         reporter, self._reporter = self._reporter, None
         self._reporting = False
         if reporter is not None:
@@ -167,9 +149,6 @@ class AlexEngine:
         slog = slowlog.active()
         if slog is not None:
             slog.flush()
-        if self._acquired_pool:
-            self._acquired_pool = False
-            shutdown_shared_pool()
         self._closed = True
 
     @property
@@ -287,7 +266,7 @@ class AlexEngine:
         feature_set = self.space.feature_set(state)
         if feature_set is None or not feature_set:
             return []
-        with obs.span("explore"):
+        with obs.span("alex.feature.explore"):
             actions = available_actions(feature_set)
             if self.config.use_distinctiveness:
                 # Cross-state lesson (Section 4.2): never explore around a
@@ -329,10 +308,6 @@ class AlexEngine:
             if discovered:
                 obs.inc("alex.links.discovered", len(discovered))
         return discovered
-
-    def _choose_action(self, state: Link, actions: list) -> "FeatureKey":
-        """π(s): see :meth:`_choose_action_with_mode`."""
-        return self._choose_action_with_mode(state, actions)[0]
 
     def _choose_action_with_mode(self, state: Link, actions: list) -> tuple:
         """π(s): the improved policy when available; for states the policy

@@ -14,7 +14,6 @@ session and experiment runner treat both uniformly.
 from __future__ import annotations
 
 import zlib
-
 from typing import Iterable, Sequence
 
 from repro.core.config import AlexConfig
@@ -23,6 +22,17 @@ from repro.core.episode import EpisodeStats
 from repro.errors import ConfigError
 from repro.features.space import FeatureSpace
 from repro.links import Link, LinkSet
+
+
+def partition_index(spaces: Sequence[FeatureSpace], link: Link) -> int:
+    """The partition owning ``link``: the first space containing it, else a
+    stable hash of its left entity (initial candidates can fall outside
+    every θ-filtered space and still need an owner for removal
+    bookkeeping). Every partitioned entry point routes by this rule."""
+    for index, space in enumerate(spaces):
+        if link in space:
+            return index
+    return zlib.crc32(link.left.value.encode()) % len(spaces)
 
 
 class PartitionedAlex:
@@ -38,10 +48,11 @@ class PartitionedAlex:
             raise ConfigError("PartitionedAlex needs at least one space")
         links = list(initial_links)
         self.config = config
+        self._spaces = tuple(spaces)
         self.engines: list[AlexEngine] = []
         routed: list[list[Link]] = [[] for _ in spaces]
         for link in links:
-            routed[self._space_index_for(spaces, link)].append(link)
+            routed[partition_index(self._spaces, link)].append(link)
         for index, (space, partition_links) in enumerate(zip(spaces, routed)):
             self.engines.append(
                 AlexEngine(
@@ -54,15 +65,6 @@ class PartitionedAlex:
                 )
             )
 
-    @staticmethod
-    def _space_index_for(spaces: Sequence[FeatureSpace], link: Link) -> int:
-        for index, space in enumerate(spaces):
-            if link in space:
-                return index
-        # Links outside every filtered space (possible for initial candidates)
-        # still need an owner for removal bookkeeping.
-        return zlib.crc32(link.left.value.encode()) % len(spaces)
-
     # ------------------------------------------------------------------ #
     # Engine-compatible interface
     # ------------------------------------------------------------------ #
@@ -74,10 +76,7 @@ class PartitionedAlex:
         for engine in self.engines:
             if link in engine.candidates:
                 return engine
-        for engine in self.engines:
-            if link in engine.space:
-                return engine
-        return self.engines[zlib.crc32(link.left.value.encode()) % len(self.engines)]
+        return self.engines[partition_index(self._spaces, link)]
 
     def process_feedback(self, link: Link, positive: bool) -> list[Link]:
         return self.engine_for(link).process_feedback(link, positive)

@@ -33,13 +33,13 @@ from __future__ import annotations
 
 import hashlib
 import time
-import zlib
 from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro import obs
 from repro.core.config import AlexConfig
 from repro.core.engine import AlexEngine
+from repro.core.parallel import partition_index
 from repro.core.workers import WorkerPool, shared_pool
 from repro.errors import ConfigError
 from repro.features.feature_set import DEFAULT_THETA
@@ -293,27 +293,21 @@ def run_partitions_parallel(
     """Run every partition in its own process and merge the results.
 
     Returns the union of all partitions' final candidate links plus the
-    per-partition outcomes. Links outside every partition's space are routed
-    by a hash of the left entity (same rule as
-    :class:`~repro.core.parallel.PartitionedAlex`). Partition work runs on
+    per-partition outcomes. Links are routed by
+    :func:`~repro.core.parallel.partition_index`, the rule
+    :class:`~repro.core.parallel.PartitionedAlex` uses. Partition work runs on
     the persistent worker pool (``pool=None`` uses the process-shared one),
     so consecutive runs reuse the same worker processes.
     """
     if not spaces:
         raise ConfigError("run_partitions_parallel needs at least one space")
 
-    def route(link: Link) -> int:
-        for index, space in enumerate(spaces):
-            if link in space:
-                return index
-        return zlib.crc32(link.left.value.encode()) % len(spaces)
-
     initial_per_partition: list[set[Link]] = [set() for _ in spaces]
     for link in initial_links:
-        initial_per_partition[route(link)].add(link)
+        initial_per_partition[partition_index(spaces, link)].add(link)
     truth_per_partition: list[set[Link]] = [set() for _ in spaces]
     for link in ground_truth:
-        truth_per_partition[route(link)].add(link)
+        truth_per_partition[partition_index(spaces, link)].add(link)
 
     parent_tracer = trace.active()
     with obs.timer("space.build.ship"):

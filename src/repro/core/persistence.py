@@ -34,6 +34,10 @@ from repro.rdf.terms import URIRef
 
 FORMAT_VERSION = 1
 
+#: Config keys 2.x wrote that 3.0 dropped (the engine-level pool knobs);
+#: loading ignores them so older states stay readable.
+_DROPPED_CONFIG_KEYS = ("pool_workers", "pool_idle_timeout")
+
 
 def _link_to_json(link: Link) -> list[str]:
     return [link.left.value, link.right.value]
@@ -142,7 +146,10 @@ def engine_from_dict(space: FeatureSpace, state: dict) -> AlexEngine:
     version = state.get("format_version")
     if version != FORMAT_VERSION:
         raise ConfigError(f"unsupported engine state format version: {version!r}")
-    config = AlexConfig(**state["config"])
+    settings = dict(state["config"])
+    for key in _DROPPED_CONFIG_KEYS:
+        settings.pop(key, None)
+    config = AlexConfig(**settings)
     candidates = LinkSet()
     for entry in state["candidates"]:
         candidates.add(_link_from_json(entry["link"]), entry.get("score"))

@@ -18,9 +18,12 @@ Lifecycle discipline — nothing may leak processes out of a test run:
 * **idle timeout** — a daemon timer shuts the executor down after
   ``idle_timeout`` seconds without a batch (workers respawn transparently
   on next use);
-* **atexit + Engine.close()** — the process-shared pool is torn down at
-  interpreter exit and by :meth:`~repro.core.engine.AlexEngine.close` of
-  an engine that acquired it via :meth:`~repro.core.engine.AlexEngine.pool`.
+* **atexit + shutdown_shared_pool()** — the process-shared pool is torn
+  down at interpreter exit, or earlier by :func:`shutdown_shared_pool`.
+  Callers reach it through ``FeatureSpace.build(workers=N)`` /
+  :func:`~repro.core.parallel_mp.build_space_parallel` and
+  :func:`~repro.core.parallel_mp.run_partitions_parallel`, which size it
+  themselves.
 
 Crash robustness: a batch whose worker dies (``BrokenProcessPool``) is
 retried once on a respawned executor; if the executor breaks again the

@@ -25,10 +25,6 @@ class Quality:
             return 0.0
         return 2.0 * self.precision * self.recall / (self.precision + self.recall)
 
-    def as_row(self) -> tuple[float, float, float]:
-        """The (precision, recall, f_measure) triple for tabulation."""
-        return (self.precision, self.recall, self.f_measure)
-
     def __str__(self):
         return (
             f"P={self.precision:.3f} R={self.recall:.3f} F={self.f_measure:.3f} "

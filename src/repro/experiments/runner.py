@@ -187,8 +187,7 @@ def run_scenario(spec: ScenarioSpec) -> ExperimentResult:
     )
 
     started = time.perf_counter()
-    with obs.span("scenario"):
-        episodes = session.run(episode_size=spec.episode_size, max_episodes=spec.max_episodes)
+    episodes = session.run(episode_size=spec.episode_size, max_episodes=spec.max_episodes)
     elapsed = time.perf_counter() - started
     obs.inc("experiments.scenarios.run", scenario=spec.key)
 

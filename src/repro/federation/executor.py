@@ -23,7 +23,7 @@ import time
 from typing import Iterable
 
 from repro import obs
-from repro.obs import accounting, slowlog, trace
+from repro.obs import accounting, slowlog
 from repro.errors import FederationError
 from repro.federation.endpoint import Endpoint
 from repro.federation.provenance import FederatedResult, ProvenancedSolution
@@ -95,10 +95,10 @@ class FederatedEngine:
     def execute(self, query: SelectQuery) -> FederatedResult:
         """Execute a parsed SELECT query across the federation.
 
-        When a tracer is installed the execution runs inside a
-        ``federation.query.execute`` span; the span's trace id is stamped
-        onto the returned result and each of its rows, correlating the
-        executor → endpoint → engine event chain.
+        The execution runs inside a ``federation.query.execute`` span. When
+        a tracer is installed, the span's trace id is stamped onto the
+        returned result and each of its rows, correlating the executor →
+        endpoint → engine event chain.
         """
         obs.inc("federation.queries")
         slog = slowlog.active()
@@ -110,7 +110,7 @@ class FederatedEngine:
             stats.plan_cache_hit = accounting.consume_plan_cache_note()
             requests_before = sum(e.request_count for e in self.endpoints)
             started = time.perf_counter()
-        with obs.timer("federation.query.seconds"), trace.span(
+        with obs.timer("federation.query.seconds"), obs.span(
             "federation.query.execute", endpoints=len(self.endpoints)
         ) as span:
             if self.strict:

@@ -20,7 +20,6 @@ import time
 from typing import Callable, Protocol
 
 from repro import obs
-from repro.obs import trace
 from repro.core.engine import AlexEngine
 from repro.core.episode import EpisodeStats
 from repro.core.parallel import PartitionedAlex
@@ -64,11 +63,9 @@ class FeedbackSession:
         if episode_size < 1:
             raise ConfigError(f"episode_size must be >= 1, got {episode_size}")
         started = time.perf_counter()
-        # The trace span groups every engine audit event of this episode
-        # under one trace id; a no-op handle when no tracer is installed.
-        with obs.span("episode"), trace.span(
-            "alex.episode.run", index=self.engine.episodes_completed + 1
-        ):
+        # With a tracer installed the span also groups every engine audit
+        # event of this episode under one trace id.
+        with obs.span("alex.episode.run", index=self.engine.episodes_completed + 1):
             pool = self._candidate_pool()
             for _ in range(episode_size):
                 if not pool:

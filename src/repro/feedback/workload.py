@@ -105,9 +105,14 @@ class WorkloadSession:
 
     def _linked_entities(self) -> list[URIRef]:
         """Left entities that currently have a candidate link — queries
-        about them can produce cross-dataset answers."""
-        entities = {link.left for link in self.alex.candidates}
-        return sorted(entities, key=str)
+        about them can produce cross-dataset answers. The candidates'
+        ordered view sorts by left value first, so this is already the
+        entities in ``str`` order."""
+        entities: list[URIRef] = []
+        for link in self.alex.candidates.ordered():
+            if not entities or link.left != entities[-1]:
+                entities.append(link.left)
+        return entities
 
     def run_episode(self, feedback_budget: int, max_queries: int | None = None) -> int:
         """Issue queries until ``feedback_budget`` feedback items were

@@ -3,7 +3,8 @@
 Instrumented code answers "where did the time and the feedback go?" with
 four instrument kinds (:class:`Counter`, :class:`Gauge`, :class:`Histogram`,
 :class:`Timer`) plus hierarchical :func:`span` timing, all collected in a
-:class:`Registry`.
+:class:`Registry`. A span is also the unit of :mod:`repro.obs.trace`: with a
+tracer installed, the same ``obs.span`` records a trace span.
 
 A process-global default registry backs the module-level helpers, so hot
 paths instrument themselves in one line with no plumbing::
@@ -11,7 +12,7 @@ paths instrument themselves in one line with no plumbing::
     from repro import obs
 
     obs.inc("alex.feedback.processed", verdict="positive")
-    with obs.span("explore"):
+    with obs.span("alex.feature.explore"):
         ...
     with obs.timer("sparql.query.seconds"):
         ...
@@ -166,9 +167,10 @@ def timer(name: str, **labels) -> Timer:
     return _default_registry.timer(name, **labels)
 
 
-def span(name: str) -> Span:
-    """A ``with``-able hierarchical span named ``name``."""
-    return _default_registry.span(name)
+def span(name: str, **attrs) -> Span:
+    """A ``with``-able hierarchical span named ``name``; also a trace span
+    (carrying ``attrs``) when the registry has a tracer installed."""
+    return Span(_default_registry, name, attrs)
 
 
 def snapshot() -> dict:

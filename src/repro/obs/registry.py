@@ -104,8 +104,10 @@ class Registry:
     # Spans
     # ------------------------------------------------------------------ #
 
-    def span(self, name: str) -> Span:
-        return Span(self, name)
+    def span(self, name: str, **attrs) -> Span:
+        """A ``with``-able span (see :mod:`repro.obs.spans`); ``attrs`` ride
+        on its trace record when a tracer samples it."""
+        return Span(self, name, attrs)
 
     def _span_stack(self) -> list:
         stack = getattr(self._local, "stack", None)

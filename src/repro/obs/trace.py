@@ -13,8 +13,10 @@ Model
 * A **trace** is one logical operation (an episode, a query execution). It
   is identified by a 64-bit hex ``trace`` ID and holds a tree of spans.
 * A **span** is a timed region inside a trace, with a ``span`` ID and a
-  ``parent`` span ID (``None`` for the root). Entering a span when no trace
-  is active *starts a new trace* — the head-based sampling decision is made
+  ``parent`` span ID (``None`` for the root). Spans are the ordinary
+  :func:`repro.obs.span` regions (:mod:`repro.obs.spans`): with a tracer
+  installed, each one also records here. Entering a span when no trace is
+  active *starts a new trace* — the head-based sampling decision is made
   exactly there and inherited by everything inside.
 * An **event** is a point-in-time record attached to the innermost active
   span (or recorded trace-less when none is active — engines driven outside
@@ -38,8 +40,8 @@ produce identical ID sequences run over run, and the tracer **never touches
 any engine RNG**, so enabling tracing cannot change a seeded run's results.
 ``sample`` < 1.0 keeps that fraction of *traces* (decided once at the root
 span; unsampled traces record nothing). With no tracer installed — the
-default — every helper is a constant-time no-op returning a shared inert
-object; instrumented hot paths fetch :func:`active` once and skip attribute
+default — every helper is a constant-time no-op and spans only aggregate;
+instrumented hot paths fetch :func:`active` once and skip attribute
 construction entirely.
 
 The buffer is a bounded ring: once ``capacity`` records exist, the oldest
@@ -89,53 +91,6 @@ def _clean(value: Any) -> Any:
     return str(value)
 
 
-class SpanHandle:
-    """Context manager for one trace span; created by :meth:`Tracer.span`.
-
-    Exposes ``trace_id`` / ``span_id`` (``None`` when the span is unsampled
-    or tracing is off) so callers can correlate external records — e.g.
-    :class:`~repro.errors.FederationError` carries the active trace ID.
-    """
-
-    __slots__ = (
-        "_tracer", "name", "attrs", "trace_id", "span_id", "parent_id",
-        "sampled", "elapsed", "_t0",
-    )
-
-    def __init__(self, tracer: "Tracer | None", name: str, attrs: dict):
-        self._tracer = tracer
-        self.name = name
-        self.attrs = attrs
-        self.trace_id: str | None = None
-        self.span_id: str | None = None
-        self.parent_id: str | None = None
-        self.sampled = False
-        self.elapsed: float | None = None
-        self._t0 = 0.0
-
-    def __enter__(self) -> "SpanHandle":
-        tracer = self._tracer
-        if tracer is not None:
-            tracer._enter_span(self)
-            self._t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        tracer = self._tracer
-        if tracer is not None:
-            self.elapsed = time.perf_counter() - self._t0
-            tracer._exit_span(self, error=exc_type.__name__ if exc_type else None)
-
-    def event(self, name: str, **attrs) -> None:
-        """Record a point event under this span (no-op when unsampled)."""
-        if self._tracer is not None and self.sampled:
-            self._tracer._record_event(name, attrs, self.trace_id, self.span_id)
-
-
-#: Shared inert handle returned by the module helpers when tracing is off.
-_NOOP_SPAN = SpanHandle(None, "", {})
-
-
 class Tracer:
     """A bounded, thread-safe recorder of trace events.
 
@@ -164,7 +119,6 @@ class Tracer:
         self._start = 0  # ring-buffer head index into _records
         self._rng = random.Random(seed)
         self._lock = threading.Lock()
-        self._local = threading.local()
         self._epoch = time.perf_counter()
 
     # ------------------------------------------------------------------ #
@@ -178,12 +132,6 @@ class Tracer:
     def _now(self) -> float:
         return time.perf_counter() - self._epoch
 
-    def _stack(self) -> list[SpanHandle]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        return stack
-
     def _append(self, record: dict) -> None:
         with self._lock:
             if len(self._records) - self._start >= self.capacity:
@@ -195,42 +143,26 @@ class Tracer:
                     self._start = 0
             self._records.append(record)
 
-    def _enter_span(self, handle: SpanHandle) -> None:
-        stack = self._stack()
-        if stack:
-            top = stack[-1]
-            handle.trace_id = top.trace_id
-            handle.parent_id = top.span_id
-            handle.sampled = top.sampled
-        else:
-            handle.parent_id = None
-            if self.sample >= 1.0:
-                handle.sampled = True
-            else:
-                with self._lock:
-                    handle.sampled = self._rng.random() < self.sample
-            handle.trace_id = self._new_id() if handle.sampled else None
-        handle.span_id = self._new_id() if handle.sampled else None
-        stack.append(handle)
+    def _sample(self) -> bool:
+        """The head-based sampling decision for a new trace's root span."""
+        if self.sample >= 1.0:
+            return True
+        with self._lock:
+            return self._rng.random() < self.sample
 
-    def _exit_span(self, handle: SpanHandle, error: str | None = None) -> None:
-        stack = self._stack()
-        while stack:  # tolerate exotic unwinding, same as obs spans
-            if stack.pop() is handle:
-                break
-        if not handle.sampled:
-            return
-        attrs = dict(handle.attrs)
+    def _record_span(self, span, error: str | None) -> None:
+        """Append the record of a sampled, finished :class:`~repro.obs.spans.Span`."""
+        attrs = dict(span.attrs)
         if error is not None:
             attrs["error"] = error
         self._append({
-            "trace": handle.trace_id,
-            "span": handle.span_id,
-            "parent": handle.parent_id,
-            "name": handle.name,
+            "trace": span.trace_id,
+            "span": span.span_id,
+            "parent": span.parent_id,
+            "name": span.name,
             "kind": "span",
-            "t": round(self._now() - (handle.elapsed or 0.0), 9),
-            "dur": round(handle.elapsed or 0.0, 9),
+            "t": round(span._started - self._epoch, 9),
+            "dur": round(span.elapsed, 9),
             "attrs": _clean(attrs),
         })
 
@@ -252,35 +184,24 @@ class Tracer:
     # Public recording API
     # ------------------------------------------------------------------ #
 
-    def span(self, name: str, **attrs) -> SpanHandle:
-        """A ``with``-able span; starts a new trace when none is active."""
-        if not self.enabled:
-            return _NOOP_SPAN
-        return SpanHandle(self, name, attrs)
-
     def event(self, name: str, **attrs) -> None:
         """Record a point event under the innermost active span.
 
-        Outside any span the event is recorded trace-less (``trace: null``)
-        so direct engine use still leaves an audit trail; inside an
-        *unsampled* trace it is dropped with the rest of the trace.
+        The innermost span is the top of the current registry's span stack.
+        Outside any span this tracer recorded, the event is recorded
+        trace-less (``trace: null``) so direct engine use still leaves an
+        audit trail; inside an *unsampled* trace it is dropped with the rest
+        of the trace.
         """
         if not self.enabled:
             return
-        stack = self._stack()
-        if stack:
-            top = stack[-1]
+        stack = _registry()._span_stack()
+        top = stack[-1] if stack else None
+        if top is not None and top.tracer is self:
             if top.sampled:
                 self._record_event(name, attrs, top.trace_id, top.span_id)
             return
         self._record_event(name, attrs, None, None)
-
-    def current_trace_id(self) -> str | None:
-        """The active (sampled) trace's ID on this thread, if any."""
-        stack = getattr(self._local, "stack", None)
-        if stack:
-            return stack[-1].trace_id
-        return None
 
     # ------------------------------------------------------------------ #
     # Buffer access / export
@@ -427,14 +348,6 @@ def active() -> Tracer | None:
     return None
 
 
-def span(name: str, **attrs) -> SpanHandle:
-    """A span on the active tracer; a shared no-op when tracing is off."""
-    tracer = active()
-    if tracer is None:
-        return _NOOP_SPAN
-    return tracer.span(name, **attrs)
-
-
 def event(name: str, **attrs) -> None:
     """A point event on the active tracer; no-op when tracing is off."""
     tracer = active()
@@ -443,11 +356,10 @@ def event(name: str, **attrs) -> None:
 
 
 def current_trace_id() -> str | None:
-    """The active trace ID on this thread, or ``None``."""
-    tracer = active()
-    if tracer is None:
-        return None
-    return tracer.current_trace_id()
+    """The innermost active span's trace ID on this thread, or ``None``
+    (no span, or a span that no tracer sampled)."""
+    stack = _registry()._span_stack()
+    return stack[-1].trace_id if stack else None
 
 
 # --------------------------------------------------------------------- #

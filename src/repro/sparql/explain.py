@@ -30,6 +30,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterator
 
+from repro import obs
 from repro.obs import trace
 from repro.rdf.graph import Graph
 from repro.sparql.ast import (
@@ -425,7 +426,7 @@ def explain(graph: Graph, query, analyze: bool = False) -> QueryPlan:
         return plan
 
     meter = _Meter(builder)
-    with trace.span(
+    with obs.span(
         "sparql.query.explain", kind=type(parsed).__name__, analyze=True
     ) as span:
         started = time.perf_counter()
@@ -442,7 +443,7 @@ def explain(graph: Graph, query, analyze: bool = False) -> QueryPlan:
             for node in root.walk():
                 if not node.executed and node.op not in ("ask", "construct"):
                     continue
-                span.event(
+                tracer.event(
                     "sparql.operator.eval",
                     op=node.op,
                     detail=node.detail,

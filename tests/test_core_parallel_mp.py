@@ -4,13 +4,14 @@ import pickle
 
 import pytest
 
-from repro.core import AlexConfig
+from repro.core import AlexConfig, PartitionedAlex
+from repro.core.parallel import partition_index
 from repro.core.parallel_mp import run_partitions_parallel
 from repro.datasets import PERSON_PROFILE, PairSpec, generate_pair
 from repro.errors import ConfigError
 from repro.evaluation import evaluate_links
 from repro.features import FeatureSpace, build_partitioned_spaces
-from repro.links import LinkSet
+from repro.links import Link, LinkSet
 from repro.paris import paris_links
 from repro.rdf.terms import BNode, Literal, URIRef
 
@@ -114,3 +115,37 @@ class TestParallelRun:
                 [], LinkSet(), pair.ground_truth,
                 AlexConfig(episode_size=10), episode_size=10, max_episodes=1,
             )
+
+
+class TestPartitionRouting:
+    def test_links_route_identically_through_both_entry_points(self, pair):
+        """PartitionedAlex (at construction and on feedback) and
+        run_partitions_parallel send every link to the same partition:
+        the first space containing it, else the left-entity hash."""
+        spaces = build_partitioned_spaces(pair.left, pair.right, 3)
+        inside = [min(space.links()) for space in spaces]
+        outside = [
+            Link(URIRef(f"http://nowhere/l{i}"), URIRef(f"http://nowhere/r{i}"))
+            for i in range(12)
+        ]
+        assert not any(link in space for link in outside for space in spaces)
+        links = inside + outside
+        expected = [partition_index(spaces, link) for link in links]
+        assert expected[:3] == [0, 1, 2]
+        assert len(set(expected[3:])) > 1  # the hash spreads the outsiders
+        config = AlexConfig(episode_size=1, seed=5)
+
+        seeded = PartitionedAlex(spaces, LinkSet(links), config)
+        for link, index in zip(links, expected):
+            holders = [i for i, e in enumerate(seeded.engines) if link in e.candidates]
+            assert holders == [index]
+        empty = PartitionedAlex(spaces, LinkSet(), config)
+        assert [empty.engines.index(empty.engine_for(link)) for link in links] == expected
+
+        _, outcomes = run_partitions_parallel(
+            spaces, LinkSet(links), LinkSet(links), config,
+            episode_size=1, max_episodes=1, max_workers=1,
+        )
+        for link, index in zip(links, expected):
+            holders = [i for i, o in enumerate(outcomes) if link in o.candidates]
+            assert holders == [index]

@@ -178,6 +178,18 @@ class TestResumeParity:
         assert restored.rng.getstate() == random.Random(trained_engine.config.seed).getstate()
         assert restored.candidates.snapshot() == trained_engine.candidates.snapshot()
 
+    def test_state_with_2x_pool_keys_still_loads(self, space, trained_engine, tmp_path):
+        """2.x wrote the engine-level pool knobs into the config; 3.0
+        dropped them from AlexConfig and ignores them on load."""
+        state = trained_engine.to_dict()
+        state["config"].update(pool_workers=2, pool_idle_timeout=300.0)
+        path = tmp_path / "engine-2x.json"
+        path.write_text(json.dumps(state))
+        restored = AlexEngine.load(space, str(path))
+        assert restored.config == trained_engine.config
+        assert restored.candidates.snapshot() == trained_engine.candidates.snapshot()
+        assert _canonical(restored.to_dict()) == _canonical(trained_engine.to_dict())
+
 
 class TestDeprecatedShims:
     """The pre-1.1 four-function surface was removed in 2.0.0; the

@@ -16,13 +16,11 @@ import pytest
 from repro import obs
 from repro.core import AlexConfig
 from repro.core import workers as workers_mod
-from repro.core.engine import AlexEngine
 from repro.core.parallel_mp import build_space_parallel, run_partitions_parallel
 from repro.core.workers import WorkerPool, effective_size, shared_pool, shutdown_shared_pool
 from repro.datasets import PERSON_PROFILE, PairSpec, generate_pair
 from repro.errors import ConfigError
 from repro.features.space import FeatureSpace, decode_space_delta, encode_space_delta
-from repro.links import LinkSet
 from repro.rdf.entity import Entity, entities_of
 from repro.rdf.terms import BNode, Literal, URIRef
 from repro.similarity.prepared import (
@@ -227,22 +225,6 @@ class TestPoolLifecycle:
     def test_bad_idle_timeout_rejected(self):
         with pytest.raises(ConfigError):
             WorkerPool(1, idle_timeout=0.0)
-
-    def test_engine_close_shuts_shared_pool(self, pair):
-        space = FeatureSpace.build(pair.left, pair.right)
-        engine = AlexEngine(space, LinkSet(), AlexConfig(episode_size=10, pool_workers=2))
-        pool = engine.pool()
-        pool.run_tasks(_double, [(3,)])
-        assert pool.stats()["alive"] is True
-        engine.close()
-        assert pool.stats()["alive"] is False
-        assert workers_mod._shared is None
-
-    def test_config_validates_pool_fields(self):
-        with pytest.raises(ConfigError):
-            AlexConfig(episode_size=10, pool_workers=-1)
-        with pytest.raises(ConfigError):
-            AlexConfig(episode_size=10, pool_idle_timeout=0.0)
 
 
 class TestCrashRobustness:

@@ -8,7 +8,7 @@ import pytest
 from repro import obs
 from repro.core.config import AlexConfig
 from repro.core.engine import AlexEngine
-from repro.core.workers import peek_shared_pool, shutdown_shared_pool
+from repro.core.workers import peek_shared_pool, shared_pool, shutdown_shared_pool
 from repro.errors import ConfigError
 from repro.features.space import FeatureSpace
 from repro.links import Link, LinkSet
@@ -145,14 +145,17 @@ class TestHealth:
 
     def test_health_reports_live_pool_stats(self):
         engine, _, _ = _engine()
-        pool = engine.pool()
-        pool.worker_pids()  # force a spawn
-        health = engine.health()
-        assert health["pool"]["spawned"] is True
-        assert health["pool"]["size"] >= 1
-        assert health["pool"]["alive"] is True
-        engine.close()
-        assert peek_shared_pool() is None  # close tore the shared pool down
+        try:
+            shared_pool(1).worker_pids()  # force a spawn
+            health = engine.health()
+            assert health["pool"]["spawned"] is True
+            assert health["pool"]["size"] >= 1
+            assert health["pool"]["alive"] is True
+            engine.close()
+            assert peek_shared_pool() is not None  # the pool is not the engine's
+        finally:
+            shutdown_shared_pool()
+        assert peek_shared_pool() is None
 
     def test_health_reflects_reporter_and_slowlog(self, tmp_path):
         from repro.obs import slowlog

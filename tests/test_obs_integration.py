@@ -66,8 +66,9 @@ class TestQuickstartMetrics:
 
     def test_span_tree_recorded(self, workload_snapshot):
         paths = {entry["path"] for entry in workload_snapshot["spans"]}
-        assert "episode" in paths
-        assert "episode/explore" in paths
+        assert "alex.episode.run" in paths
+        assert "alex.episode.run/alex.feature.explore" in paths
+        assert "federation.query.execute" in paths
 
     def test_nothing_leaked_to_default_registry(self, workload):
         # the module fixture ran inside use_registry(); the process-global

@@ -1,4 +1,10 @@
-"""Unit tests for repro.obs.trace: the tracer, sampling, export, composition."""
+"""Unit tests for repro.obs.trace: the tracer, sampling, export, composition.
+
+Spans are ``obs.span`` regions of a registry with an installed tracer; the
+``installed`` helper gives each test its own scoped registry.
+"""
+
+from contextlib import contextmanager
 
 import pytest
 
@@ -15,16 +21,23 @@ from repro.obs.trace import (
 )
 
 
+@contextmanager
+def installed(**settings):
+    """A fresh scoped registry with a tracer installed on it."""
+    with obs.use_registry(obs.Registry("t")):
+        yield trace.install(**settings)
+
+
 class TestTracerBasics:
     def test_span_assigns_trace_and_span_ids(self):
-        tracer = Tracer(seed=0)
-        with tracer.span("outer.op.run") as outer:
-            assert outer.sampled
-            assert outer.trace_id is not None
-            assert outer.parent_id is None
-            with tracer.span("inner.op.run") as inner:
-                assert inner.trace_id == outer.trace_id
-                assert inner.parent_id == outer.span_id
+        with installed(seed=0) as tracer:
+            with obs.span("outer.op.run") as outer:
+                assert outer.sampled
+                assert outer.trace_id is not None
+                assert outer.parent_id is None
+                with obs.span("inner.op.run") as inner:
+                    assert inner.trace_id == outer.trace_id
+                    assert inner.parent_id == outer.span_id
         records = tracer.records()
         assert [r["name"] for r in records] == ["inner.op.run", "outer.op.run"]
         assert all(r["kind"] == "span" for r in records)
@@ -32,9 +45,9 @@ class TestTracerBasics:
         assert records[1]["parent"] is None
 
     def test_event_attaches_to_innermost_span(self):
-        tracer = Tracer(seed=0)
-        with tracer.span("outer.op.run"), tracer.span("inner.op.run") as inner:
-            tracer.event("thing.happened", value=3)
+        with installed(seed=0) as tracer:
+            with obs.span("outer.op.run"), obs.span("inner.op.run") as inner:
+                tracer.event("thing.happened", value=3)
         event = next(r for r in tracer.records() if r["kind"] == "event")
         assert event["trace"] == inner.trace_id
         assert event["parent"] == inner.span_id
@@ -49,9 +62,8 @@ class TestTracerBasics:
         assert record["kind"] == "event"
 
     def test_exception_inside_span_records_error_attr(self):
-        tracer = Tracer(seed=0)
-        with pytest.raises(ValueError):
-            with tracer.span("bad.op.run"):
+        with installed(seed=0) as tracer, pytest.raises(ValueError):
+            with obs.span("bad.op.run"):
                 raise ValueError("boom")
         (record,) = tracer.records()
         assert record["attrs"]["error"] == "ValueError"
@@ -77,37 +89,72 @@ class TestTracerBasics:
             Tracer(sample=1.5)
 
 
+class TestOneSpanApi:
+    def test_span_feeds_aggregate_and_record_from_one_timing(self):
+        with installed(seed=0) as tracer:
+            with obs.span("outer.op.run", n=1) as outer:
+                with obs.span("inner.op.run"):
+                    pass
+            spans = obs.snapshot()["spans"]
+        by_path = {entry["path"]: entry for entry in spans}
+        assert set(by_path) == {"outer.op.run", "outer.op.run/inner.op.run"}
+        assert by_path["outer.op.run"]["total_seconds"] == outer.elapsed
+        record = next(r for r in tracer.records() if r["name"] == "outer.op.run")
+        assert record["dur"] == round(outer.elapsed, 9)
+        assert record["attrs"] == {"n": 1}
+
+    def test_span_entered_before_install_is_invisible(self):
+        with obs.use_registry(obs.Registry("t")) as registry:
+            with obs.span("early.op.run") as early:
+                tracer = trace.install(seed=0)
+                tracer.event("inside.event.fired")
+                with obs.span("late.op.run") as late:
+                    pass
+            paths = {entry["path"] for entry in registry.snapshot()["spans"]}
+        assert early.trace_id is None and not early.sampled
+        assert paths == {"early.op.run", "early.op.run/late.op.run"}
+        records = tracer.records()
+        assert [r["name"] for r in records] == ["inside.event.fired", "late.op.run"]
+        assert records[0]["trace"] is None
+        # the first span the tracer sees starts its own trace
+        assert records[1]["trace"] == late.trace_id is not None
+        assert records[1]["parent"] is None
+
+
 class TestDeterminism:
     def test_seeded_tracers_produce_identical_ids(self):
-        def run(tracer):
-            with tracer.span("a.b.c", n=1):
-                tracer.event("a.b.d")
-                with tracer.span("a.b.e"):
-                    pass
+        def run(seed):
+            with installed(seed=seed) as tracer:
+                with obs.span("a.b.c", n=1):
+                    tracer.event("a.b.d")
+                    with obs.span("a.b.e"):
+                        pass
             return [(r["trace"], r["span"], r["parent"]) for r in tracer.records()]
 
-        assert run(Tracer(seed=42)) == run(Tracer(seed=42))
-        assert run(Tracer(seed=42)) != run(Tracer(seed=43))
+        assert run(42) == run(42)
+        assert run(42) != run(43)
 
 
 class TestSampling:
     def test_sample_zero_records_nothing(self):
-        tracer = Tracer(sample=0.0, seed=0)
-        with tracer.span("never.kept.run") as handle:
-            assert not handle.sampled
-            assert handle.trace_id is None
-            tracer.event("inner.event.fired")
-            handle.event("direct.event.fired")
+        with installed(sample=0.0, seed=0) as tracer:
+            with obs.span("never.kept.run") as handle:
+                assert not handle.sampled
+                assert handle.trace_id is None
+                tracer.event("inner.event.fired")
+                with obs.span("never.kept.child") as child:
+                    assert not child.sampled
+                    tracer.event("nested.event.fired")
         assert len(tracer) == 0
 
     def test_sampling_decision_made_at_root_and_inherited(self):
-        tracer = Tracer(sample=0.5, seed=1)
         kept = 0
-        for _ in range(50):
-            with tracer.span("root.op.run") as root:
-                with tracer.span("child.op.run") as child:
-                    assert child.sampled == root.sampled
-                kept += 1 if root.sampled else 0
+        with installed(sample=0.5, seed=1) as tracer:
+            for _ in range(50):
+                with obs.span("root.op.run") as root:
+                    with obs.span("child.op.run") as child:
+                        assert child.sampled == root.sampled
+                    kept += 1 if root.sampled else 0
         assert 0 < kept < 50
         # every buffered record belongs to a sampled trace
         assert all(r["trace"] is not None for r in tracer.records())
@@ -146,9 +193,11 @@ class TestPayloadAbsorb:
         holder.absorb(worker.payload())
         assert len(holder) == 1
         # holder records nothing of its own
-        holder.event("local.event.fired")
-        with holder.span("local.span.run"):
-            pass
+        with obs.use_registry(obs.Registry("t")) as registry:
+            registry.tracer = holder
+            holder.event("local.event.fired")
+            with obs.span("local.span.run") as span:
+                assert span.trace_id is None
         assert len(holder) == 1
 
     def test_absorb_rejects_unknown_schema(self):
@@ -167,9 +216,9 @@ class TestPayloadAbsorb:
 
 class TestJsonlRoundTrip:
     def test_round_trip(self, tmp_path):
-        tracer = Tracer(seed=7)
-        with tracer.span("root.op.run", n=2):
-            tracer.event("leaf.event.fired", q=0.5)
+        with installed(seed=7) as tracer:
+            with obs.span("root.op.run", n=2):
+                tracer.event("leaf.event.fired", q=0.5)
         path = str(tmp_path / "trace.jsonl")
         tracer.write_jsonl(path)
         payload = load_jsonl(path)
@@ -202,10 +251,12 @@ class TestModuleApi:
     def test_install_active_uninstall(self):
         with obs.use_registry(obs.Registry("t")):
             assert trace.active() is None
-            assert trace.span("noop.span.run") is trace._NOOP_SPAN
+            with obs.span("noop.span.run") as untraced:
+                assert trace.current_trace_id() is None
+            assert untraced.trace_id is None and not untraced.sampled
             tracer = trace.install(seed=0)
             assert trace.active() is tracer
-            with trace.span("mod.api.run") as handle:
+            with obs.span("mod.api.run") as handle:
                 trace.event("mod.event.fired")
                 assert trace.current_trace_id() == handle.trace_id
             assert trace.current_trace_id() is None
@@ -254,12 +305,12 @@ class TestRegistryComposition:
 
 class TestRendering:
     def _tracer(self):
-        tracer = Tracer(seed=0)
-        with tracer.span("root.op.run"):
-            tracer.event("leaf.event.fired", k="v")
-            with tracer.span("child.op.run"):
-                pass
-        tracer.event("orphan.event.fired")
+        with installed(seed=0) as tracer:
+            with obs.span("root.op.run"):
+                tracer.event("leaf.event.fired", k="v")
+                with obs.span("child.op.run"):
+                    pass
+            tracer.event("orphan.event.fired")
         return tracer
 
     def test_render_summary_counts_and_slowest(self):

@@ -118,6 +118,20 @@ def test_clean_twins_are_silent(clean):
     assert findings == [], [f.format() for f in findings]
 
 
+def test_r007_checks_span_and_event_names_with_one_pattern():
+    """``obs.span`` names follow the same dotted pattern as metric and
+    trace event names: the bad twin fires twice, the clean twin not at all."""
+    result = analyze_paths(
+        [f"{FIXTURES}/naming_bad.py", f"{FIXTURES}/naming_clean.py"], REPO_ROOT,
+        config=FIXTURE_CONFIG, families=("repo",), registered_codes=set(),
+    )
+    found = [(f.path, f.code, f.line, f.column) for f in result.findings]
+    assert found == [
+        (f"{FIXTURES}/naming_bad.py", "R007", 6, 19),
+        (f"{FIXTURES}/naming_bad.py", "R007", 8, 22),
+    ]
+
+
 def test_writer_inventory_covers_the_fixture_store():
     result = analyze_paths(
         [FIXTURES], REPO_ROOT, config=FIXTURE_CONFIG,

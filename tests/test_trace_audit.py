@@ -170,12 +170,48 @@ class TestSessionSpans:
             if record["name"].startswith("alex."):
                 assert record["trace"] in trace_ids
 
-    def test_engine_without_session_traces_traceless(self, space):
-        with obs.use_registry(obs.Registry("t")):
+    def test_one_span_feeds_aggregates_and_trace(self, space):
+        truth = LinkSet([link(i, i) for i in range(5)])
+        with obs.use_registry(obs.Registry("t")) as registry:
             tracer = trace.install(seed=0)
             engine = AlexEngine(space, LinkSet([link(0, 0)]), rollback_config())
-            engine.process_feedback(link(0, 0), positive=True)
-        assert all(r["trace"] is None for r in tracer.records())
+            FeedbackSession(engine, GroundTruthOracle(truth), seed=3).run(
+                episode_size=5, max_episodes=2
+            )
+            aggregates = {e["path"]: e["count"] for e in registry.snapshot()["spans"]}
+        episode_spans = events_named(tracer, "alex.episode.run")
+        assert aggregates["alex.episode.run"] == len(episode_spans) == 2
+        explores = events_named(tracer, "alex.feature.explore")
+        assert explores
+        assert aggregates["alex.episode.run/alex.feature.explore"] == len(explores)
+        episode_ids = {s["span"] for s in episode_spans}
+        assert all(record["parent"] in episode_ids for record in explores)
+
+    def test_engine_without_session_traces_traceless(self, space):
+        """Without a session, one explore action is one trace; the feedback
+        events around it stay trace-less."""
+        with obs.use_registry(obs.Registry("t")):
+            tracer = trace.install(seed=0)
+            engine = AlexEngine(
+                space, LinkSet([link(0, 0)]), rollback_config(use_rollback=False)
+            )
+            discovered = engine.process_feedback(link(0, 0), positive=True)
+            engine.process_feedback(discovered[0], positive=False)
+        records = tracer.records()
+        (explore,) = events_named(tracer, "alex.feature.explore")
+        assert explore["kind"] == "span"
+        assert explore["trace"] is not None and explore["parent"] is None
+        grouped = [
+            r for r in records
+            if r["name"] in ("alex.feature.select", "alex.link.discover")
+        ]
+        assert {r["name"] for r in grouped} == {"alex.feature.select", "alex.link.discover"}
+        for record in grouped:
+            assert record["trace"] == explore["trace"]
+            assert record["parent"] == explore["span"]
+        loose = ("alex.link.approve", "alex.link.reject", "alex.blacklist.insert")
+        assert {r["name"] for r in records if r["name"] in loose} == set(loose)
+        assert all(r["trace"] is None for r in records if r["name"] in loose)
 
 
 class TestTracingChangesNothing:
@@ -337,9 +373,10 @@ class TestFederationTracing:
 
     def test_federation_error_captures_active_trace_id(self):
         with obs.use_registry(obs.Registry("t")):
-            tracer = trace.install(seed=0)
-            with tracer.span("federation.query.execute") as span:
+            trace.install(seed=0)
+            with obs.span("federation.query.execute") as span:
                 error = FederationError("endpoint fell over")
+            assert span.trace_id is not None
             assert error.trace_id == span.trace_id
             outside = FederationError("no trace active")
             assert outside.trace_id is None

@@ -170,7 +170,7 @@ class AnalyzerConfig:
         "AlexEngine": (
             "__init__", "process_feedback", "end_episode", "preflight",
             "_credit", "_explore_from", "_remove_link", "_maybe_rollback",
-            "reporter", "pool", "close",
+            "reporter", "close",
         ),
     })
 

@@ -33,7 +33,7 @@ from .model import AnalysisContext, CodeFinding, ModuleContext, Pass
 OBS_EMIT_FUNCS = frozenset({"inc", "observe", "set_gauge"})
 
 #: Receivers whose ``.event(...)`` is a trace emission (C031).
-TRACE_RECEIVERS = frozenset({"trace", "tracer", "span"})
+TRACE_RECEIVERS = frozenset({"trace", "tracer"})
 
 #: Builtin container constructors counted as per-row allocation (C032).
 CONTAINER_CONSTRUCTORS = frozenset({"dict", "list", "set", "tuple", "frozenset"})

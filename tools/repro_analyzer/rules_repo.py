@@ -25,16 +25,10 @@ MUTABLE_FACTORIES = {"list", "dict", "set", "defaultdict", "Counter", "OrderedDi
 #: R007: dotted lowercase name, 2-4 segments (``alex.links.discovered``).
 DOTTED_NAME_RE = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*){1,3}$")
 
-#: R007: hierarchical obs.span names are single-segment (``episode``).
-SPAN_NAME_RE = re.compile(r"^[a-z][a-z0-9_]*$")
-
-#: obs functions taking a metric name as first argument (R007).
+#: obs functions taking a metric or span name as first argument (R007).
 OBS_METRIC_FUNCS = {
-    "inc", "observe", "set_gauge", "counter", "gauge", "histogram", "timer",
+    "inc", "observe", "set_gauge", "counter", "gauge", "histogram", "timer", "span",
 }
-
-#: trace/tracer methods taking an event or span name as first argument.
-TRACE_NAME_FUNCS = {"event", "span"}
 
 FORBIDDEN_OBS_CALLS = {"set_registry", "reset"}
 
@@ -61,7 +55,7 @@ def _receiver_name(node: ast.AST) -> str | None:
     return None
 
 
-def _observability_name_call(node: ast.Call) -> tuple[str, str, ast.AST] | None:
+def _observability_name_call(node: ast.Call) -> tuple[str, ast.AST] | None:
     """R007: recognise calls declaring a metric/span/event name literal."""
     if not isinstance(node.func, ast.Attribute) or not node.args:
         return None
@@ -70,14 +64,10 @@ def _observability_name_call(node: ast.Call) -> tuple[str, str, ast.AST] | None:
         return None
     attr = node.func.attr
     receiver = _receiver_name(node.func)
-    if receiver == "obs":
-        if attr == "span":
-            return ("obs-span", first.value, first)
-        if attr in OBS_METRIC_FUNCS:
-            return ("metric", first.value, first)
-        return None
-    if attr in TRACE_NAME_FUNCS and receiver in ("trace", "tracer", "span"):
-        return ("metric", first.value, first)
+    if receiver == "obs" and attr in OBS_METRIC_FUNCS:
+        return first.value, first
+    if attr == "event" and receiver in ("trace", "tracer"):
+        return first.value, first
     return None
 
 
@@ -188,14 +178,8 @@ class RepoInvariantsPass(Pass):
             if isinstance(node, ast.Call):
                 name_call = _observability_name_call(node)
                 if name_call is not None:
-                    rule, name, anchor = name_call
-                    if rule == "obs-span" and not SPAN_NAME_RE.match(name):
-                        findings.append(self.finding(
-                            module, anchor, "R007",
-                            f"obs.span name {name!r} must be a single lowercase "
-                            "segment (hierarchy comes from nesting)",
-                        ))
-                    elif rule == "metric" and not DOTTED_NAME_RE.match(name):
+                    name, anchor = name_call
+                    if not DOTTED_NAME_RE.match(name):
                         findings.append(self.finding(
                             module, anchor, "R007",
                             f"observability name {name!r} must be dotted lowercase "
