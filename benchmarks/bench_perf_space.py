@@ -1,4 +1,4 @@
-"""Feature-space construction: naive vs prepared fast path vs multi-process.
+"""Feature-space construction: naive vs prepared fast path.
 
 The pytest-benchmark counterpart of ``repro bench``: one timed run of the
 medium bundle through each build mode, with the parity invariant asserted on
@@ -42,11 +42,4 @@ def test_space_build_fast(run_once, medium_pair, naive_space):
     left, right = medium_pair
     clear_caches()
     space = run_once(lambda: FeatureSpace.build(left, right, fast=True))
-    assert parity_mismatches(naive_space, space) == 0
-
-
-def test_space_build_fast_mp(run_once, medium_pair, naive_space):
-    left, right = medium_pair
-    clear_caches()
-    space = run_once(lambda: FeatureSpace.build(left, right, fast=True, workers=2))
     assert parity_mismatches(naive_space, space) == 0

@@ -27,16 +27,7 @@ needs:
 """
 
 from repro import obs
-from repro.core import (
-    AlexConfig,
-    AlexEngine,
-    PartitionedAlex,
-    WorkerPool,
-    build_space_parallel,
-    run_partitions_parallel,
-    shared_pool,
-    shutdown_shared_pool,
-)
+from repro.core import AlexConfig, AlexEngine, PartitionedAlex
 from repro.datasets import load_pair
 from repro.errors import DataValidationError, QueryAnalysisError, ReproError
 from repro.evaluation import QualityTracker, evaluate_links, quality_curve_table
@@ -72,7 +63,7 @@ from repro.sparql import (
     prepare,
 )
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 __all__ = [
     "AlexConfig",
@@ -100,11 +91,9 @@ __all__ = [
     "TermDictionary",
     "Triple",
     "URIRef",
-    "WorkerPool",
     "__version__",
     "analyze_query",
     "build_partitioned_spaces",
-    "build_space_parallel",
     "evaluate_links",
     "explain",
     "load_pair",
@@ -113,9 +102,6 @@ __all__ = [
     "parse_query",
     "prepare",
     "quality_curve_table",
-    "run_partitions_parallel",
-    "shared_pool",
-    "shutdown_shared_pool",
     "trace",
     "validate_dataset",
     "validate_graph",

@@ -1,10 +1,10 @@
 """Benchmark harness for feature-space construction.
 
 Measures the naive quadratic scoring path against the prepared-entity fast
-path (and optionally the multi-process build) on generated bundles of
-increasing size, proves parity between the paths on every run, and emits a
-machine-readable record file (``BENCH_space.json``) so speedups are tracked
-in-repo rather than asserted in prose.
+path on generated bundles of increasing size, proves parity between the
+paths on every run, and emits a machine-readable record file
+(``BENCH_space.json``) so speedups are tracked in-repo rather than asserted
+in prose.
 
 This module is a library: it never prints. ``repro bench`` (and the
 ``tools/bench.py`` wrapper) render :func:`render_report` and write the JSON.
@@ -28,7 +28,7 @@ from repro.rdf.entity import Entity, entities_of
 from repro.similarity.prepared import clear_caches
 
 #: Schema identifier of the emitted payload.
-BENCH_FORMAT = "repro-bench/1"
+BENCH_FORMAT = "repro-bench/2"
 
 #: Default output file, at the repo root by convention.
 DEFAULT_OUT = "BENCH_space.json"
@@ -99,22 +99,15 @@ def _histogram_sum(snapshot: dict, name: str) -> float:
 
 
 def _phase_breakdown(snapshot: dict) -> dict[str, float]:
-    """Per-phase wall seconds of one build: ship (encode + decode both
-    directions), score (blocking + scoring), merge (delta decode + union +
-    freeze). Worker-side timers merge into the same names via the returned
-    obs snapshots, so the breakdown spans both sides of the pool."""
+    """Per-phase wall seconds of one build: score (blocking + scoring) and
+    freeze (sorting the range indexes)."""
     return {
-        "ship": round(_histogram_sum(snapshot, "space.build.ship"), 6),
         "score": round(
             _histogram_sum(snapshot, "space.build.score")
             + _histogram_sum(snapshot, "space.build.block"),
             6,
         ),
-        "merge": round(
-            _histogram_sum(snapshot, "space.build.merge")
-            + _histogram_sum(snapshot, "space.build.freeze"),
-            6,
-        ),
+        "freeze": round(_histogram_sum(snapshot, "space.build.freeze"), 6),
     }
 
 
@@ -123,51 +116,14 @@ def _timed_build(
     right: list[Entity],
     theta: float,
     fast: bool,
-    workers: int,
 ) -> tuple[FeatureSpace, float, dict]:
     """One cold build under an isolated obs registry."""
     clear_caches()
     with obs.use_registry(obs.Registry("bench")) as registry:
         start = time.perf_counter()
-        space = FeatureSpace.build(left, right, theta, fast=fast, workers=workers)
+        space = FeatureSpace.build(left, right, theta, fast=fast)
         wall = time.perf_counter() - start
     return space, wall, registry.snapshot()
-
-
-def _timed_build_mp(
-    left: list[Entity],
-    right: list[Entity],
-    theta: float,
-    workers: int,
-) -> tuple[FeatureSpace, float, float, dict, list]:
-    """Cold + steady-state multi-process builds on the persistent pool.
-
-    The cold build restarts the pool (fresh worker processes, cleared
-    caches) and measures the first build end to end — spawn cost included.
-    The steady build immediately rebuilds on the now-warm pool, which is
-    the number that matters for a long-lived engine: workers already exist
-    and their interned term tables and score memos are hot, so repeated
-    builds of live (churning) datasets skip respawn and most re-derivation.
-    Returns ``(space, steady_wall, cold_wall, steady_snapshot, stats)``.
-    """
-    from repro.core.parallel_mp import build_space_parallel
-    from repro.core.workers import shared_pool
-
-    pool = shared_pool(workers)
-    pool.restart()
-    clear_caches()
-    with obs.use_registry(obs.Registry("bench")):
-        start = time.perf_counter()
-        build_space_parallel(left, right, theta=theta, fast=True, workers=workers, pool=pool)
-        cold_wall = time.perf_counter() - start
-    stats: list = []
-    with obs.use_registry(obs.Registry("bench")) as registry:
-        start = time.perf_counter()
-        space = build_space_parallel(
-            left, right, theta=theta, fast=True, workers=workers, pool=pool, stats_out=stats
-        )
-        steady_wall = time.perf_counter() - start
-    return space, steady_wall, cold_wall, registry.snapshot(), stats
 
 
 def _record(
@@ -178,7 +134,6 @@ def _record(
     space: FeatureSpace,
     wall: float,
     snapshot: dict,
-    workers: int,
 ) -> dict[str, Any]:
     pairs = space.total_pairs_considered
     return {
@@ -192,80 +147,34 @@ def _record(
         "wall_seconds": round(wall, 6),
         "pairs_per_second": round(pairs / wall, 1) if wall > 0 else None,
         "cache_hit_rate": _cache_hit_rate(snapshot),
-        "workers": workers,
         "space_size": space.size,
         "phases": _phase_breakdown(snapshot),
     }
 
 
-def run_bench(
-    quick: bool = False,
-    workers: int = 0,
-    theta: float = DEFAULT_THETA,
-) -> dict[str, Any]:
+def run_bench(quick: bool = False, theta: float = DEFAULT_THETA) -> dict[str, Any]:
     """Run the construction benchmark and return the payload.
 
-    Each bundle is built as naive and fast (cold caches, isolated obs
-    registries) and — when ``workers`` > 1 — as fast multi-process at every
-    sweep point in {2, 4, …, workers}. Multi-process builds run on the
-    persistent worker pool and record two numbers: ``cold_wall_seconds``
-    (fresh pool, empty caches — spawn cost included) and ``wall_seconds``
-    (steady state: an immediate rebuild on the warm pool, the cost a
-    long-lived engine pays per build). Single-process records stay
-    cold-per-build, matching every previous bench file; the protocol
-    asymmetry is deliberate and documented in ``docs/performance.md``.
-
-    Every fast/fast-mp build is parity-checked against the naive build of
-    the same bundle. ``payload["speedup"]`` is naive/fast wall time on the
-    largest bundle; ``payload["speedup_mp"]`` is fast/fast-mp (steady) on
-    the largest bundle at the highest worker count.
+    Each bundle is built as naive and fast, both cold (cleared caches,
+    isolated obs registries), and the fast build is parity-checked against
+    the naive one. ``payload["speedup"]`` is naive/fast wall time on the
+    largest bundle.
     """
     specs = BUNDLE_SPECS[:1] if quick else BUNDLE_SPECS
-    sweep = sorted({w for w in (2, 4, workers) if 2 <= w <= workers}) if workers > 1 else []
     records: list[dict[str, Any]] = []
     mismatches = 0
-    checked = 0
     speedup = None
-    speedup_mp = None
     for spec in specs:
         pair = generate_pair(spec)
         left = list(entities_of(pair.left))
         right = list(entities_of(pair.right))
-        naive, naive_wall, naive_snap = _timed_build(left, right, theta, False, 1)
-        fast, fast_wall, fast_snap = _timed_build(left, right, theta, True, 1)
-        records.append(_record("naive", spec.name, left, right, naive, naive_wall, naive_snap, 1))
-        records.append(_record("fast", spec.name, left, right, fast, fast_wall, fast_snap, 1))
-        checked += 1
+        naive, naive_wall, naive_snap = _timed_build(left, right, theta, False)
+        fast, fast_wall, fast_snap = _timed_build(left, right, theta, True)
+        records.append(_record("naive", spec.name, left, right, naive, naive_wall, naive_snap))
+        records.append(_record("fast", spec.name, left, right, fast, fast_wall, fast_snap))
         mismatches += parity_mismatches(naive, fast)
         if fast_wall > 0:
             speedup = round(naive_wall / fast_wall, 2)  # last spec = largest
-        for point in sweep:
-            mp_space, mp_wall, cold_wall, mp_snap, stats = _timed_build_mp(
-                left, right, theta, point
-            )
-            record = _record(
-                "fast-mp", spec.name, left, right, mp_space, mp_wall, mp_snap, point
-            )
-            record["cold_wall_seconds"] = round(cold_wall, 6)
-            record["partitions"] = [
-                {
-                    "name": s.name,
-                    "pairs_considered": s.pairs_considered,
-                    "pairs_admitted": s.pairs_admitted,
-                    "bytes_shipped": s.bytes_shipped,
-                    "wall_seconds": round(s.wall_seconds, 6),
-                }
-                for s in stats
-            ]
-            records.append(record)
-            checked += 1
-            mismatches += parity_mismatches(naive, mp_space)
-            if mp_wall > 0:
-                speedup_mp = round(fast_wall / mp_wall, 2)  # last = largest, most workers
-    if sweep:
-        from repro.core.workers import shutdown_shared_pool
-
-        shutdown_shared_pool()
     return {
         "format": BENCH_FORMAT,
         "created_unix": int(time.time()),
@@ -273,10 +182,8 @@ def run_bench(
         "platform": platform.platform(),
         "theta": theta,
         "quick": quick,
-        "workers_sweep": sweep,
-        "parity": {"checked": checked, "ok": mismatches == 0, "mismatches": mismatches},
+        "parity": {"checked": len(specs), "ok": mismatches == 0, "mismatches": mismatches},
         "speedup": speedup,
-        "speedup_mp": speedup_mp,
         "records": records,
     }
 
@@ -293,19 +200,17 @@ def render_report(payload: dict[str, Any]) -> str:
     lines = [
         f"feature-space construction bench (θ={payload['theta']}, "
         f"python {payload['python']})",
-        f"{'dataset':<14} {'mode':<8} {'workers':>7} {'pairs':>10} "
+        f"{'dataset':<14} {'mode':<8} {'pairs':>10} "
         f"{'wall s':>8} {'pairs/s':>12} {'hit rate':>9} {'size':>7}",
     ]
     for record in payload["records"]:
         rate = record["cache_hit_rate"]
-        cold = record.get("cold_wall_seconds")
         lines.append(
-            f"{record['dataset']:<14} {record['mode']:<8} {record['workers']:>7} "
+            f"{record['dataset']:<14} {record['mode']:<8} "
             f"{record['pairs_considered']:>10} {record['wall_seconds']:>8.3f} "
             f"{record['pairs_per_second']:>12.0f} "
             f"{(f'{rate:.1%}' if rate is not None else '-'):>9} "
             f"{record['space_size']:>7}"
-            + (f"  (cold {cold:.3f}s)" if cold is not None else "")
         )
     parity = payload["parity"]
     lines.append(
@@ -313,10 +218,5 @@ def render_report(payload: dict[str, Any]) -> str:
         f"({parity['checked']} builds checked, {parity['mismatches']} mismatches)"
     )
     if payload["speedup"] is not None:
-        lines.append(f"speedup (largest bundle, fast vs naive, 1 process): {payload['speedup']}x")
-    if payload.get("speedup_mp") is not None:
-        lines.append(
-            "speedup (largest bundle, fast-mp steady-state on the persistent "
-            f"pool vs fast cold): {payload['speedup_mp']}x"
-        )
+        lines.append(f"speedup (largest bundle, fast vs naive): {payload['speedup']}x")
     return "\n".join(lines)

@@ -13,7 +13,7 @@ Subcommands::
     repro bench [--suite space|sparql|all]   # parity-checked benchmarks
     repro figures all | FIGURE               # regenerate paper figures
     repro stats                              # exercise the stack, print obs metrics
-    repro health                             # engine/pool/cache health as JSON
+    repro health                             # engine/cache health as JSON
     repro slowlog                            # slowest queries and episodes
     repro trace show|summary FILE.jsonl      # replay an exported trace
 
@@ -250,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     health = subparsers.add_parser(
         "health",
         help="run the stats workload to warm the engine, then print its "
-        "health (pool, caches, trace ring, reporter, dictionaries) as JSON",
+        "health (caches, trace ring, reporter, dictionaries) as JSON",
     )
     health.add_argument(
         "--pair", default="dbpedia_nba_nytimes", help="dataset pair to exercise"
@@ -316,10 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
                        "default: BENCH_space.json / BENCH_sparql.json)")
     bench.add_argument("--quick", action="store_true",
                        help="smallest bundle only — the CI smoke configuration")
-    bench.add_argument("--workers", type=int, default=0,
-                       help="space suite: also sweep multi-process builds on "
-                       "the persistent pool at workers in {2, 4, ..., N} "
-                       "(cold + steady-state timings, per-partition stats)")
     bench.add_argument(
         "--min-speedup", type=float, default=0.0,
         help="exit non-zero unless every run suite's headline speedup "
@@ -926,9 +922,7 @@ _FIGURES = {
 }
 
 
-def _cmd_bench(
-    suite: str, out: str | None, quick: bool, workers: int, min_speedup: float
-) -> int:
+def _cmd_bench(suite: str, out: str | None, quick: bool, min_speedup: float) -> int:
     from repro import bench, bench_sparql
 
     suites = ("space", "sparql") if suite == "all" else (suite,)
@@ -938,10 +932,7 @@ def _cmd_bench(
     failed = False
     for name in suites:
         module = bench if name == "space" else bench_sparql
-        if name == "space":
-            payload = module.run_bench(quick=quick, workers=workers)
-        else:
-            payload = module.run_bench(quick=quick)
+        payload = module.run_bench(quick=quick)
         path = out if out is not None else module.DEFAULT_OUT
         module.write_payload(payload, path)
         print(module.render_report(payload))
@@ -1032,9 +1023,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 args.pair, args.episodes, args.threshold, args.top, args.json
             )
         if args.command == "bench":
-            return _cmd_bench(
-                args.suite, args.out, args.quick, args.workers, args.min_speedup
-            )
+            return _cmd_bench(args.suite, args.out, args.quick, args.min_speedup)
         if args.command == "figures":
             return _cmd_figures(args.figure)
         if args.command == "report":

@@ -138,9 +138,6 @@ class AlexEngine:
         Idempotent — closing twice (or closing an engine whose reporter
         never started) is a no-op the second time. Call when the engine is
         finished, so test runs and services don't leak reporter threads.
-        The shared worker pool is not the engine's: whoever sized it
-        (:meth:`FeatureSpace.build`, ``run_partitions_parallel``) reuses
-        it, and ``shutdown_shared_pool()`` or ``atexit`` tears it down.
         """
         reporter, self._reporter = self._reporter, None
         self._reporting = False
@@ -469,23 +466,15 @@ class AlexEngine:
     def health(self, graphs: dict | None = None) -> dict:
         """A machine-readable snapshot of engine and runtime health.
 
-        Aggregates learner progress, worker-pool liveness (probed without
-        spawning processes), cache pressure (plan cache + similarity
-        caches), trace-ring drops, reporter and slowlog state, and — when
-        ``graphs`` (name → :class:`~repro.rdf.graph.Graph`) is passed —
-        dictionary growth per graph. ``status`` is ``"degraded"`` when the
-        pool has fallen back in-process, the trace ring dropped events, or
-        the reporter thread errored; ``"ok"`` otherwise. Read-only: calling
-        it changes no engine or pool state.
+        Aggregates learner progress, cache pressure (plan cache +
+        similarity caches), trace-ring drops, reporter and slowlog state,
+        and — when ``graphs`` (name → :class:`~repro.rdf.graph.Graph`) is
+        passed — dictionary growth per graph. ``status`` is ``"degraded"``
+        when the trace ring dropped events or the reporter thread errored;
+        ``"ok"`` otherwise. Read-only: calling it changes no engine state.
         """
-        from repro.core.workers import peek_shared_pool
         from repro.similarity.prepared import cache_info
         from repro.sparql.prepared import plan_cache_info
-
-        pool = peek_shared_pool()
-        pool_health: dict = {"spawned": pool is not None}
-        if pool is not None:
-            pool_health.update(pool.stats())
 
         tracer = trace.active()
         trace_health: dict = {"installed": tracer is not None}
@@ -526,9 +515,7 @@ class AlexEngine:
             }
 
         degraded = (
-            pool_health.get("fallbacks", 0) > 0
-            or trace_health.get("dropped", 0) > 0
-            or reporter_health["last_error"] is not None
+            trace_health.get("dropped", 0) > 0 or reporter_health["last_error"] is not None
         )
         return {
             "status": "degraded" if degraded else "ok",
@@ -543,7 +530,6 @@ class AlexEngine:
                 "confirmed": len(self.confirmed),
                 "blacklist": len(self.blacklist),
             },
-            "pool": pool_health,
             "caches": {
                 "plan_cache": plan_cache_info(),
                 "similarity": cache_info(),

@@ -11,7 +11,7 @@ from repro.features.feature_set import (
     similarity_matrix_prepared,
 )
 from repro.features.partition import build_partitioned_spaces, equal_size_partition
-from repro.features.space import FeatureSpace, merge_spaces
+from repro.features.space import FeatureSpace
 
 __all__ = [
     "DEFAULT_THETA",
@@ -25,7 +25,6 @@ __all__ = [
     "build_partitioned_spaces",
     "entity_tokens",
     "equal_size_partition",
-    "merge_spaces",
     "similarity_matrix",
     "similarity_matrix_prepared",
 ]

@@ -38,16 +38,13 @@ def build_partitioned_spaces(
     n_partitions: int,
     theta: float = DEFAULT_THETA,
     use_blocking: bool = True,
-    workers: int | None = 1,
 ) -> list[FeatureSpace]:
     """Partition the larger side and build one FeatureSpace per partition.
 
     Follows the paper: "we partition the larger data set and generate
     feature sets between each partition and all entities in the smaller
     data set". The returned spaces keep the Link orientation (left dataset
-    first) regardless of which side was larger. ``workers > 1`` builds each
-    partition's space on the persistent worker pool (the spaces themselves
-    are identical either way — parity is independent of the worker count).
+    first) regardless of which side was larger.
     """
     left_entities = list(entities_of(left) if isinstance(left, Graph) else left)
     right_entities = list(entities_of(right) if isinstance(right, Graph) else right)
@@ -55,13 +52,13 @@ def build_partitioned_spaces(
     if len(left_entities) >= len(right_entities):
         partitions = equal_size_partition(left_entities, n_partitions)
         return [
-            FeatureSpace.build(part, right_entities, theta, use_blocking, workers=workers)
+            FeatureSpace.build(part, right_entities, theta, use_blocking)
             for part in partitions
             if part
         ]
     partitions = equal_size_partition(right_entities, n_partitions)
     return [
-        FeatureSpace.build(left_entities, part, theta, use_blocking, workers=workers)
+        FeatureSpace.build(left_entities, part, theta, use_blocking)
         for part in partitions
         if part
     ]

@@ -10,7 +10,7 @@ slice, independent of the space size.
 from __future__ import annotations
 
 import bisect
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 from repro import obs
 from repro.errors import FeatureSpaceError
@@ -26,13 +26,7 @@ from repro.links import Link
 from repro.rdf.entity import Entity, entities_of
 from repro.rdf.graph import Graph
 from repro.rdf.terms import URIRef
-from repro.similarity.prepared import (
-    PreparedEntity,
-    WireReader,
-    WireWriter,
-    flush_similarity_stats,
-    prepare_pairs,
-)
+from repro.similarity.prepared import PreparedEntity, flush_similarity_stats, prepare_pairs
 
 #: Version of the file :meth:`FeatureSpace.save` writes. Format 2 stores
 #: links-only range indexes; format-1 files must be rebuilt.
@@ -69,7 +63,6 @@ class FeatureSpace:
         theta: float = DEFAULT_THETA,
         use_blocking: bool = True,
         fast: bool = True,
-        workers: int | None = 1,
     ) -> "FeatureSpace":
         """Build the space between two datasets.
 
@@ -80,36 +73,10 @@ class FeatureSpace:
         typed values computed once per entity, a bounded memo cache on
         value-pair scores, and θ-aware upper bounds; admitted links and
         scores are bit-identical to ``fast=False`` (the parity test in
-        ``tests/test_perf_fastpath.py`` enforces this). ``workers=N`` (N>1)
-        partitions the left entities across processes via
-        :func:`repro.core.parallel_mp.build_space_parallel` and merges the
-        per-worker spaces and obs snapshots.
+        ``tests/test_perf_fastpath.py`` enforces this).
         """
         left_entities = list(entities_of(left) if isinstance(left, Graph) else left)
         right_entities = list(entities_of(right) if isinstance(right, Graph) else right)
-        if workers is not None and workers > 1:
-            from repro.core.parallel_mp import build_space_parallel
-
-            return build_space_parallel(
-                left_entities,
-                right_entities,
-                theta=theta,
-                use_blocking=use_blocking,
-                fast=fast,
-                workers=workers,
-            )
-        return cls._build_single_process(left_entities, right_entities, theta, use_blocking, fast)
-
-    @classmethod
-    def _build_single_process(
-        cls,
-        left_entities: list[Entity],
-        right_entities: list[Entity],
-        theta: float,
-        use_blocking: bool,
-        fast: bool,
-        freeze: bool = True,
-    ) -> "FeatureSpace":
         space = cls(theta)
         if use_blocking:
             with obs.timer("space.build.block"):
@@ -130,11 +97,8 @@ class FeatureSpace:
                 for left_entity, right_entity in pairs:
                     space.add_pair(left_entity, right_entity)
         space._total_pairs_considered = len(left_entities) * len(right_entities)
-        if freeze:
-            with obs.timer("space.build.freeze"):
-                space.freeze()
-        # freeze=False: a pool worker building one partition delta — the
-        # parent freezes the merged space once, so sorting here is waste
+        with obs.timer("space.build.freeze"):
+            space.freeze()
         return space
 
     def add_pair(self, left_entity: Entity, right_entity: Entity) -> FeatureSet | None:
@@ -299,79 +263,3 @@ class FeatureSpace:
             f"<FeatureSpace θ={self.theta}: {len(self._feature_sets)} pairs, "
             f"{len(self._index)} feature keys>"
         )
-
-
-def merge_spaces(spaces: Iterable[FeatureSpace]) -> FeatureSpace:
-    """Union of partition spaces (used to report whole-dataset metrics)."""
-    spaces = list(spaces)
-    if not spaces:
-        raise FeatureSpaceError("cannot merge zero spaces")
-    theta = spaces[0].theta
-    merged = FeatureSpace(theta)
-    for space in spaces:
-        if space.theta != theta:
-            raise FeatureSpaceError("cannot merge spaces with different theta")
-        for link, feature_set in space._feature_sets.items():
-            if link not in merged._feature_sets:
-                merged._feature_sets[link] = feature_set
-                for key, score in feature_set.items():
-                    merged._index.setdefault(key, []).append((score, link))
-    merged._total_pairs_considered = sum(s.total_pairs_considered for s in spaces)
-    merged.freeze()
-    return merged
-
-
-# --------------------------------------------------------------------- #
-# Space deltas on the wire
-# --------------------------------------------------------------------- #
-
-
-def encode_space_delta(space: FeatureSpace) -> bytes:
-    """Dictionary-encode a partition's scored space for the trip home.
-
-    A pool worker returns its partition result in the same flat-array wire
-    format partitions arrive in (see :mod:`repro.similarity.prepared`):
-    every link endpoint and predicate ships as a dictionary ID, every score
-    as one f64 — scores survive the round trip bit-identically, which the
-    parity tests rely on. Works on unfrozen spaces; the parent merges the
-    decoded deltas and freezes once.
-    """
-    writer = WireWriter()
-    writer.floats.append(space.theta)
-    ints = writer.ints
-    total = space._total_pairs_considered
-    ints.append(total >> 32)
-    ints.append(total & 0xFFFFFFFF)
-    ints.append(len(space._feature_sets))
-    for link, feature_set in space._feature_sets.items():
-        ints.append(writer.term_id(link.left))
-        ints.append(writer.term_id(link.right))
-        ints.append(len(feature_set))
-        for (p1, p2), score in feature_set.items():
-            ints.append(writer.term_id(p1))
-            ints.append(writer.term_id(p2))
-            writer.floats.append(score)
-    return writer.to_bytes()
-
-
-def decode_space_delta(blob: bytes) -> FeatureSpace:
-    """Inverse of :func:`encode_space_delta`; the space comes back unfrozen
-    (feed it to :func:`merge_spaces`, which freezes the union)."""
-    reader = WireReader(blob)
-    theta = reader.read_float()
-    space = FeatureSpace(theta)
-    space._total_pairs_considered = (reader.read_int() << 32) | reader.read_int()
-    for _ in range(reader.read_int()):
-        left = reader.term(reader.read_int())
-        right = reader.term(reader.read_int())
-        link = Link(left, right)
-        features: dict[FeatureKey, float] = {}
-        for _ in range(reader.read_int()):
-            p1 = reader.term(reader.read_int())
-            p2 = reader.term(reader.read_int())
-            features[(p1, p2)] = reader.read_float()
-        feature_set = FeatureSet(features)
-        space._feature_sets[link] = feature_set
-        for key, score in feature_set.items():
-            space._index.setdefault(key, []).append((score, link))
-    return space

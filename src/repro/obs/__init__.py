@@ -23,7 +23,7 @@ Tests (and anything wanting isolation) swap the default atomically::
         run_workload()
         snap = registry.snapshot()      # only this workload's metrics
 
-Snapshots are versioned JSON dicts; :meth:`Registry.merge` folds worker
+Snapshots are versioned JSON dicts; :meth:`Registry.merge` folds
 snapshots into one whole-run view (counters/histograms/spans sum, gauges
 last-write-wins). ``obs.dump_json(path)`` / ``load_snapshot(path)`` round-
 trip them through files. Naming convention: dotted lowercase

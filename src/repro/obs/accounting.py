@@ -4,8 +4,8 @@ When enabled (:func:`enable`; off by default), every
 :meth:`~repro.sparql.prepared.PreparedQuery.execute` and every
 :meth:`~repro.federation.executor.FederatedEngine.execute` builds one
 :class:`QueryStats` recording where the query's work went — rows scanned
-and joined per strategy, plan-cache hit, dictionary decodes, bytes shipped
-over the worker pool, wall seconds per phase — and attaches it to the
+and joined per strategy, plan-cache hit, dictionary decodes, wall seconds
+per phase — and attaches it to the
 result (``result.stats``). The slowlog (:mod:`repro.obs.slowlog`) stores
 the same breakdown with each slow entry.
 

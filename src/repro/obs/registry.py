@@ -5,9 +5,8 @@ instruments by ``(name, labels)`` identity; asking for an existing name with
 a different instrument kind is an error (one name, one meaning).
 
 Snapshots are plain JSON-serializable dicts under a versioned schema
-(:data:`SNAPSHOT_VERSION`), so they survive process boundaries: worker
-processes snapshot their registries and the parent merges them
-(:meth:`Registry.merge`) into one whole-run view. Merge semantics:
+(:data:`SNAPSHOT_VERSION`), so they survive files and process boundaries:
+:meth:`Registry.merge` folds any number of them into one whole-run view. Merge semantics:
 
 * counters and span aggregates **sum**;
 * histograms sum bucket-by-bucket (boundaries must match);
@@ -153,10 +152,10 @@ class Registry:
         return snapshot
 
     def merge(self, snapshot: dict, extra_labels: dict | None = None) -> None:
-        """Fold a snapshot (e.g. from a worker process) into this registry.
+        """Fold a snapshot (e.g. another registry's) into this registry.
 
         ``extra_labels`` are added to every incoming instrument — pass e.g.
-        ``{"partition": name}`` to keep per-worker breakdowns instead of
+        ``{"partition": name}`` to keep per-partition breakdowns instead of
         aggregating.
         """
         version = snapshot.get("format_version")

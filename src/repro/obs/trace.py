@@ -52,9 +52,8 @@ Composition with :class:`~repro.obs.registry.Registry`
 
 A tracer is *installed on a registry* (``trace.install()`` targets the
 current one). Registry snapshots then carry an ``events`` section, and
-``Registry.merge`` folds incoming events in — so multiprocessing workers
-(:mod:`repro.core.parallel_mp`) ship their audit trails home with their
-metrics.
+``Registry.merge`` folds incoming events in, so a snapshot taken in one
+registry carries its audit trail into another along with its metrics.
 """
 
 from __future__ import annotations
@@ -96,7 +95,7 @@ class Tracer:
 
     ``enabled=False`` builds a pure *holder*: it records nothing new but
     still absorbs and exports — the shape :meth:`Registry.merge` uses to
-    carry worker events in a registry that never traced locally.
+    carry merged events in a registry that never traced locally.
     """
 
     def __init__(
@@ -235,7 +234,7 @@ class Tracer:
             }
 
     def absorb(self, payload: dict) -> None:
-        """Fold an exported payload (e.g. a worker's) into this buffer."""
+        """Fold an exported payload (e.g. another tracer's) into this buffer."""
         if payload.get("schema") != TRACE_SCHEMA:
             raise ObsError(f"unsupported trace schema: {payload.get('schema')!r}")
         with self._lock:

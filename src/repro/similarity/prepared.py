@@ -29,14 +29,12 @@ and ``tests/test_paris_parity.py`` enforce this end to end.
 
 from __future__ import annotations
 
-import struct
-from array import array
 from datetime import date, datetime
 from typing import Iterable, Iterator
 
 from repro import obs
 from repro.rdf.entity import Entity
-from repro.rdf.terms import BNode, Literal, Term, URIRef
+from repro.rdf.terms import Literal, Term, URIRef
 from repro.similarity.generic import humanize_local_name
 from repro.similarity.numbers import (
     boolean_similarity,
@@ -448,213 +446,6 @@ def best_prepared_similarity(
     else:
         _stats["attr_hits"] += 1
     return entry if entry >= 0.0 else 0.0
-
-
-# --------------------------------------------------------------------- #
-# Wire format: dictionary-encoded partition shipping
-# --------------------------------------------------------------------- #
-#
-# Partitions cross the process boundary to the worker pool as flat arrays —
-# one interned string table, one u32 ID stream, one f64 stream — never as
-# pickled entity objects. Each distinct lexical form is shipped once no
-# matter how many attributes repeat it (KB literals repeat heavily: years,
-# cities, type URIs), each distinct term once, and the structural streams
-# are pure integers. The decoder rebuilds value-equal `Term`/`Entity`
-# objects, so every worker-side cache in this module (term intern, objects
-# intern, score memo) behaves exactly as it does in-process — which is what
-# keeps the multi-process build bit-identical to the single-process one.
-
-_WIRE_MAGIC = b"RPRW1\n"
-_WIRE_HEADER = struct.Struct("<4I")
-
-#: Wire term kinds (independent of the scoring _KIND_* categories above).
-_WIRE_URI = 0
-_WIRE_BNODE = 1
-_WIRE_LITERAL = 2
-
-
-def wire_pack(strings: list[str], ints: array, floats: array) -> bytes:
-    """Pack the three wire streams into one flat byte blob.
-
-    Layout: magic, ``<4I`` header (string count, utf8 byte count, int count,
-    float count), u32 per-string byte lengths, the utf8 block, the u32 int
-    stream, the f64 float stream. Little-endian throughout, so a blob is
-    valid across any fork/spawn boundary on one machine and across
-    same-endianness machines.
-    """
-    utf8 = [s.encode("utf-8") for s in strings]
-    lengths = array("I", [len(b) for b in utf8])
-    text = b"".join(utf8)
-    if ints.typecode != "I" or floats.typecode != "d":
-        raise ValueError("wire streams must be array('I') and array('d')")
-    parts = [
-        _WIRE_MAGIC,
-        _WIRE_HEADER.pack(len(strings), len(text), len(ints), len(floats)),
-        lengths.tobytes(),
-        text,
-        ints.tobytes(),
-        floats.tobytes(),
-    ]
-    return b"".join(parts)
-
-
-def wire_unpack(blob: bytes) -> tuple[list[str], array, array]:
-    """Inverse of :func:`wire_pack`; validates magic and stream sizes."""
-    if not blob.startswith(_WIRE_MAGIC):
-        raise ValueError("not a repro wire blob (bad magic)")
-    offset = len(_WIRE_MAGIC)
-    n_strings, n_text, n_ints, n_floats = _WIRE_HEADER.unpack_from(blob, offset)
-    offset += _WIRE_HEADER.size
-    lengths = array("I")
-    lengths.frombytes(blob[offset : offset + 4 * n_strings])
-    offset += 4 * n_strings
-    strings: list[str] = []
-    for length in lengths:
-        strings.append(blob[offset : offset + length].decode("utf-8"))
-        offset += length
-    if offset != len(_WIRE_MAGIC) + _WIRE_HEADER.size + 4 * n_strings + n_text:
-        raise ValueError("wire blob string block size mismatch")
-    ints = array("I")
-    ints.frombytes(blob[offset : offset + 4 * n_ints])
-    offset += 4 * n_ints
-    floats = array("d")
-    floats.frombytes(blob[offset : offset + 8 * n_floats])
-    offset += 8 * n_floats
-    if offset != len(blob) or len(ints) != n_ints or len(floats) != n_floats:
-        raise ValueError("wire blob truncated or oversized")
-    return strings, ints, floats
-
-
-class WireWriter:
-    """Builds the dictionary-encoded streams: interned strings and terms,
-    a flat u32 stream, and a flat f64 stream."""
-
-    def __init__(self):
-        self._strings: list[str] = []
-        self._string_ids: dict[str, int] = {}
-        #: fixed-width term table, 4 u32 per term: kind plus 3 operands
-        self._terms = array("I")
-        self._term_ids: dict[Term, int] = {}
-        self.ints = array("I")
-        self.floats = array("d")
-
-    def string_id(self, text: str) -> int:
-        sid = self._string_ids.get(text)
-        if sid is None:
-            sid = len(self._strings)
-            self._string_ids[text] = sid
-            self._strings.append(text)
-        return sid
-
-    def term_id(self, term: Term) -> int:
-        """Dictionary ID of a term, appending it to the term table once."""
-        tid = self._term_ids.get(term)
-        if tid is not None:
-            return tid
-        if isinstance(term, URIRef):
-            record = (_WIRE_URI, self.string_id(term.value), 0, 0)
-        elif isinstance(term, BNode):
-            record = (_WIRE_BNODE, self.string_id(term.id), 0, 0)
-        elif isinstance(term, Literal):
-            # +1 shift so 0 can mean "absent" for datatype/language
-            datatype = 0 if term.datatype is None else self.string_id(term.datatype) + 1
-            language = 0 if term.language is None else self.string_id(term.language) + 1
-            record = (_WIRE_LITERAL, self.string_id(term.lexical), datatype, language)
-        else:
-            raise ValueError(f"cannot wire-encode term type {type(term).__name__}")
-        tid = len(self._term_ids)
-        self._term_ids[term] = tid
-        self._terms.extend(record)
-        return tid
-
-    def to_bytes(self) -> bytes:
-        """One blob: [n_terms, term table, payload ints] + floats."""
-        ints = array("I", [len(self._term_ids)])
-        ints.extend(self._terms)
-        ints.extend(self.ints)
-        return wire_pack(self._strings, ints, self.floats)
-
-
-class WireReader:
-    """Cursor over a :class:`WireWriter` blob; terms decode lazily."""
-
-    def __init__(self, blob: bytes):
-        self._strings, self._ints, self.floats = wire_unpack(blob)
-        n_terms = self._ints[0]
-        self._term_table_end = 1 + 4 * n_terms
-        self._term_cache: list[Term | None] = [None] * n_terms
-        self._cursor = self._term_table_end
-        self._float_cursor = 0
-
-    def read_int(self) -> int:
-        value = self._ints[self._cursor]
-        self._cursor += 1
-        return value
-
-    def read_float(self) -> float:
-        value = self.floats[self._float_cursor]
-        self._float_cursor += 1
-        return value
-
-    @property
-    def exhausted(self) -> bool:
-        return self._cursor == len(self._ints) and self._float_cursor == len(self.floats)
-
-    def term(self, tid: int) -> Term:
-        """Decode term ``tid`` (memoized, so shared terms stay shared)."""
-        term = self._term_cache[tid]
-        if term is None:
-            base = 1 + 4 * tid
-            kind, a, b, c = self._ints[base : base + 4]
-            if kind == _WIRE_URI:
-                term = URIRef(self._strings[a])
-            elif kind == _WIRE_BNODE:
-                term = BNode(self._strings[a])
-            elif kind == _WIRE_LITERAL:
-                term = Literal(
-                    self._strings[a],
-                    datatype=None if b == 0 else self._strings[b - 1],
-                    language=None if c == 0 else self._strings[c - 1],
-                )
-            else:
-                raise ValueError(f"unknown wire term kind {kind}")
-            self._term_cache[tid] = term
-        return term
-
-
-def encode_entities(entities: list[Entity]) -> bytes:
-    """Dictionary-encode a partition of entities into one flat byte blob.
-
-    This is the only representation in which entities may cross the process
-    boundary to the worker pool (enforced by ``tests/test_core_workers.py``).
-    """
-    writer = WireWriter()
-    ints = writer.ints
-    ints.append(len(entities))
-    for entity in entities:
-        ints.append(writer.term_id(entity.uri))
-        ints.append(len(entity.attributes))
-        for predicate, objects in entity.attributes.items():
-            ints.append(writer.term_id(predicate))
-            ints.append(len(objects))
-            for obj in objects:
-                ints.append(writer.term_id(obj))
-    return writer.to_bytes()
-
-
-def decode_entities(blob: bytes) -> list[Entity]:
-    """Inverse of :func:`encode_entities`: value-equal ``Entity`` objects."""
-    reader = WireReader(blob)
-    entities: list[Entity] = []
-    for _ in range(reader.read_int()):
-        uri = reader.term(reader.read_int())
-        attributes: dict[Term, tuple[Term, ...]] = {}
-        for _ in range(reader.read_int()):
-            predicate = reader.term(reader.read_int())
-            objects = tuple(reader.term(reader.read_int()) for _ in range(reader.read_int()))
-            attributes[predicate] = objects
-        entities.append(Entity(uri, attributes))
-    return entities
 
 
 def _best_uncached(

@@ -1,11 +1,14 @@
 """Tests for dataset bundles and feature-space persistence."""
 
+import pickle
+
 import pytest
 
 from repro.datasets import load_pair
 from repro.datasets.bundle import load_bundle, save_bundle
 from repro.errors import DatasetError, FeatureSpaceError
 from repro.features import FeatureSpace
+from repro.rdf.terms import BNode, Literal, URIRef
 
 
 @pytest.fixture(scope="module")
@@ -134,3 +137,23 @@ class TestFeatureSpacePersistence:
         session = FeedbackSession(engine, GroundTruthOracle(pair.ground_truth), seed=1)
         session.run_episode(10)
         assert engine.episodes_completed == 1
+
+
+class TestPickling:
+    """FeatureSpace.save pickles the space, its terms and its links."""
+
+    def test_terms_pickle(self):
+        for term in (URIRef("http://x/a"), BNode("b1"), Literal("v", language="en"),
+                     Literal("5", datatype="http://www.w3.org/2001/XMLSchema#integer")):
+            assert pickle.loads(pickle.dumps(term)) == term
+
+    def test_feature_space_pickles(self, pair):
+        space = FeatureSpace.build(pair.left, pair.right)
+        clone = pickle.loads(pickle.dumps(space))
+        assert set(clone.links()) == set(space.links())
+        some_link = next(iter(space.links()))
+        assert clone.feature_set(some_link) == space.feature_set(some_link)
+
+    def test_linkset_pickles(self, pair):
+        clone = pickle.loads(pickle.dumps(pair.ground_truth))
+        assert clone == pair.ground_truth

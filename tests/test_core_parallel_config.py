@@ -3,8 +3,10 @@
 import pytest
 
 from repro.core import AlexConfig, PartitionedAlex
+from repro.core.parallel import partition_index
+from repro.datasets import PERSON_PROFILE, PairSpec, generate_pair
 from repro.errors import ConfigError
-from repro.features import FeatureSpace
+from repro.features import FeatureSpace, build_partitioned_spaces
 from repro.links import Link, LinkSet
 from repro.rdf.entity import Entity
 from repro.rdf.terms import Literal, URIRef
@@ -115,3 +117,43 @@ class TestPartitionedAlex:
         assert not partitioned.owns(
             Link(URIRef("http://a/res/zz"), URIRef("http://b/res/zz"))
         )
+
+
+class TestPartitionRouting:
+    def test_routing_follows_partition_index(self):
+        """PartitionedAlex sends every link to the partition that
+        partition_index names, at construction and on feedback: the first
+        space containing it, else the left-entity hash."""
+        pair = generate_pair(
+            PairSpec(
+                name="routing",
+                left_name="left",
+                right_name="right",
+                profiles=(PERSON_PROFILE,),
+                n_shared=30,
+                n_left_only=20,
+                n_right_only=10,
+                noise_left=0.1,
+                noise_right=0.25,
+                seed=21,
+            )
+        )
+        spaces = build_partitioned_spaces(pair.left, pair.right, 3)
+        inside = [min(space.links()) for space in spaces]
+        outside = [
+            Link(URIRef(f"http://nowhere/l{i}"), URIRef(f"http://nowhere/r{i}"))
+            for i in range(12)
+        ]
+        assert not any(stray in space for stray in outside for space in spaces)
+        links = inside + outside
+        expected = [partition_index(spaces, candidate) for candidate in links]
+        assert expected[:3] == [0, 1, 2]
+        assert len(set(expected[3:])) > 1  # the hash spreads the outsiders
+        config = AlexConfig(episode_size=1, seed=5)
+
+        seeded = PartitionedAlex(spaces, LinkSet(links), config)
+        for candidate, index in zip(links, expected):
+            holders = [i for i, e in enumerate(seeded.engines) if candidate in e.candidates]
+            assert holders == [index]
+        empty = PartitionedAlex(spaces, LinkSet(), config)
+        assert [empty.engines.index(empty.engine_for(candidate)) for candidate in links] == expected

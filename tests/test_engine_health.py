@@ -8,7 +8,6 @@ import pytest
 from repro import obs
 from repro.core.config import AlexConfig
 from repro.core.engine import AlexEngine
-from repro.core.workers import peek_shared_pool, shared_pool, shutdown_shared_pool
 from repro.errors import ConfigError
 from repro.features.space import FeatureSpace
 from repro.links import Link, LinkSet
@@ -116,7 +115,7 @@ class TestHealth:
         health = engine.health(graphs={"left": left, "right": right})
         assert health["status"] in ("ok", "degraded")
         assert set(health) == {
-            "status", "engine", "pool", "caches", "trace",
+            "status", "engine", "caches", "trace",
             "reporter", "slowlog", "dictionaries",
         }
         assert health["engine"]["name"] == "alex"
@@ -134,28 +133,6 @@ class TestHealth:
         health = engine.health(graphs={"left": left, "right": right})
         assert json.loads(json.dumps(health)) == health
         engine.close()
-
-    def test_health_does_not_spawn_pool(self):
-        shutdown_shared_pool()
-        engine, _, _ = _engine()
-        health = engine.health()
-        assert health["pool"] == {"spawned": False}
-        assert peek_shared_pool() is None  # probing stayed side-effect-free
-        engine.close()
-
-    def test_health_reports_live_pool_stats(self):
-        engine, _, _ = _engine()
-        try:
-            shared_pool(1).worker_pids()  # force a spawn
-            health = engine.health()
-            assert health["pool"]["spawned"] is True
-            assert health["pool"]["size"] >= 1
-            assert health["pool"]["alive"] is True
-            engine.close()
-            assert peek_shared_pool() is not None  # the pool is not the engine's
-        finally:
-            shutdown_shared_pool()
-        assert peek_shared_pool() is None
 
     def test_health_reflects_reporter_and_slowlog(self, tmp_path):
         from repro.obs import slowlog

@@ -12,7 +12,6 @@ from repro.features import (
     build_partitioned_spaces,
     entity_tokens,
     equal_size_partition,
-    merge_spaces,
     similarity_matrix,
 )
 from repro.links import Link
@@ -202,15 +201,3 @@ class TestPartitioning:
             links = set(space.links())
             assert not (links & seen)
             seen |= links
-
-    def test_merge_spaces(self, left_graph, right_graph):
-        parts = build_partitioned_spaces(left_graph, right_graph, 2)
-        merged = merge_spaces(parts)
-        whole = FeatureSpace.build(left_graph, right_graph)
-        assert set(merged.links()) == set(whole.links())
-
-    def test_merge_requires_same_theta(self, left_graph, right_graph):
-        a = FeatureSpace.build(left_graph, right_graph, theta=0.3)
-        b = FeatureSpace.build(left_graph, right_graph, theta=0.4)
-        with pytest.raises(FeatureSpaceError):
-            merge_spaces([a, b])

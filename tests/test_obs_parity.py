@@ -11,7 +11,6 @@ import pytest
 
 from repro import obs
 from repro.core import AlexConfig, AlexEngine
-from repro.core.workers import peek_shared_pool, shared_pool, shutdown_shared_pool
 from repro.features import FeatureSpace
 from repro.feedback import FeedbackSession, GroundTruthOracle
 from repro.links import Link, LinkSet
@@ -110,26 +109,6 @@ class TestObservabilityChangesNothing:
         # and the enabled path created no new aggregate metric names either
         # (stats attach to results; the reporter reads, never writes).
         assert names(bare_snapshot) == names(full_snapshot)
-
-    def test_parity_holds_while_another_caller_owns_the_shared_pool(
-        self, space, graph, tmp_path
-    ):
-        # A pool some earlier caller started (e.g. a parallel space build)
-        # must survive engine.close() of engines that never used it, and
-        # close() must not write pool gauges into the caller's registry.
-        pool = shared_pool(2)
-        pool.worker_pids()  # force a spawn
-        generation = pool.stats()["generation"]
-        try:
-            bare = run_workload(space, graph, enabled=False, tmp_path=tmp_path, tag="bare")
-            full = run_workload(space, graph, enabled=True, tmp_path=tmp_path, tag="full")
-            assert peek_shared_pool() is pool
-            assert pool.stats()["alive"] is True
-            assert pool.stats()["generation"] == generation
-        finally:
-            shutdown_shared_pool()
-        for _, _, snapshot in (bare, full):
-            assert "pool.workers.alive" not in {g["name"] for g in snapshot["gauges"]}
 
     def test_disabled_run_repeats_identically(self, space, graph, tmp_path):
         first = run_workload(space, graph, enabled=False, tmp_path=tmp_path, tag="a")

@@ -129,7 +129,7 @@ class TestFacadeExports:
         assert dictionary.decode(dictionary.encode(term)) == term
 
     def test_version_bumped(self):
-        assert repro.__version__ == "3.0.0"
+        assert repro.__version__ == "4.0.0"
 
     def test_query_result_column_var(self, graph):
         result = query(graph, PRE + "SELECT ?n WHERE { ?p ex:name ?n }")

@@ -258,49 +258,6 @@ class TestTracingChangesNothing:
         )
 
 
-class TestWorkerPropagation:
-    def test_partition_events_ride_home_in_snapshots(self, space):
-        from repro.core.parallel_mp import run_partitions_parallel
-
-        truth = LinkSet([link(i, i) for i in range(5)])
-        with obs.use_registry(obs.Registry("parent")):
-            tracer = trace.install(seed=0)
-            merged, outcomes = run_partitions_parallel(
-                [space],
-                LinkSet([link(0, 0)]),
-                truth,
-                rollback_config(),
-                episode_size=5,
-                max_episodes=2,
-                max_workers=1,
-            )
-        assert link(0, 0) in merged
-        # the worker's audit events were absorbed into the parent's tracer
-        names = {r["name"] for r in tracer.records()}
-        assert "alex.episode.end" in names
-        assert any(r["name"] == "alex.episode.run" for r in tracer.records())
-        (outcome,) = outcomes
-        assert "events" in outcome.obs_snapshot
-
-    def test_no_parent_tracer_means_no_worker_events(self, space):
-        from repro.core.parallel_mp import run_partitions_parallel
-
-        truth = LinkSet([link(i, i) for i in range(5)])
-        with obs.use_registry(obs.Registry("parent")) as registry:
-            _, outcomes = run_partitions_parallel(
-                [space],
-                LinkSet([link(0, 0)]),
-                truth,
-                rollback_config(),
-                episode_size=5,
-                max_episodes=2,
-                max_workers=1,
-            )
-            assert registry.tracer is None
-        (outcome,) = outcomes
-        assert "events" not in outcome.obs_snapshot
-
-
 DB = "http://db/"
 NYT = "http://nyt/"
 FED_QUERY = """

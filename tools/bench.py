@@ -6,7 +6,6 @@ without installing the package::
 
     python tools/bench.py                  # full run, writes BENCH_space.json
     python tools/bench.py --quick          # CI smoke configuration
-    python tools/bench.py --workers 4      # also time a multi-process build
     python tools/bench.py --min-speedup 3  # enforce the acceptance floor
 """
 
